@@ -1,181 +1,22 @@
-//! Typed index newtypes and dense struct-of-arrays storage for the hot
-//! path (DESIGN.md §14).
+//! Flat, deterministic storage for the hot path (DESIGN.md §14).
 //!
-//! The composition flow's hottest data — the timing graph, compatibility
-//! entries, candidate memos — is indexed by small dense integer ids, so the
+//! The composition flow's hottest data — the timing graph and the session's
+//! compatibility cache — is indexed by small dense integer ids, so the
 //! natural layout is a flat `Vec` per field rather than pointer- or
-//! map-based structures. This crate provides the shared vocabulary:
+//! map-based structures. This crate provides the three shapes the flow
+//! uses:
 //!
-//! * [`RegId`], [`PinId`], [`NetId`], [`PartId`] — `u32` index newtypes
-//!   (via [`define_id!`]) that make cross-indexing a type error instead of
-//!   an off-by-one bug,
-//! * [`Arena`] — a dense, typed `Vec` keyed by one id type,
-//! * [`GenTable`] — an arena of generation-stamped slots for incremental
-//!   caches (a slot is valid iff its stamp says so; invalidation is a
-//!   stamp comparison, not a tree walk),
 //! * [`CsrBuilder`] / [`Csr`] — compressed-sparse-row adjacency built in
-//!   the classic count → prefix-sum → fill order, and
+//!   the classic count → prefix-sum → fill order (the STA arc arrays),
+//! * [`GenTable`] — a table of generation-stamped slots for incremental
+//!   caches (a slot is valid iff its stamp says so; invalidation is a
+//!   stamp comparison, not a tree walk), and
 //! * [`U64Set`] — a deterministic open-addressing set for `u64` keys
 //!   (replaces `std::collections::HashSet` in result-affecting code,
 //!   where `RandomState` iteration order is banned by `mbr-lint` D1).
 //!
 //! Everything here is deterministic by construction: no random hash
 //! state, no address-dependent ordering, no interior mutability.
-
-use std::marker::PhantomData;
-
-/// An index newtype usable as an [`Arena`] key.
-pub trait Idx: Copy + Eq + Ord {
-    /// Wraps a dense index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` exceeds the backing width (`u32`).
-    fn from_usize(i: usize) -> Self;
-    /// The dense index this id wraps.
-    fn index(self) -> usize;
-}
-
-/// Defines a `u32`-backed index newtype implementing [`Idx`].
-#[macro_export]
-macro_rules! define_id {
-    ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct $name(pub u32);
-
-        impl $crate::Idx for $name {
-            fn from_usize(i: usize) -> Self {
-                debug_assert!(i <= u32::MAX as usize, "index exceeds u32");
-                $name(i as u32)
-            }
-            fn index(self) -> usize {
-                self.0 as usize
-            }
-        }
-
-        impl ::std::fmt::Display for $name {
-            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
-                write!(f, "{}{}", stringify!($name), self.0)
-            }
-        }
-    };
-}
-
-define_id! {
-    /// A composable register's slot in the compatibility arenas.
-    RegId
-}
-define_id! {
-    /// A pin's slot in the timing-graph arenas.
-    PinId
-}
-define_id! {
-    /// A net's slot in the timing-graph arenas.
-    NetId
-}
-define_id! {
-    /// A partition's slot in the candidate-memo arenas.
-    PartId
-}
-
-/// A dense, typed `Vec`: every `I` in `0..len` maps to exactly one `T`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Arena<I: Idx, T> {
-    items: Vec<T>,
-    _marker: PhantomData<I>,
-}
-
-impl<I: Idx, T> Default for Arena<I, T> {
-    fn default() -> Self {
-        Arena {
-            items: Vec::new(),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<I: Idx, T> Arena<I, T> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Arena::default()
-    }
-
-    /// An empty arena with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Arena {
-            items: Vec::with_capacity(cap),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Appends a value and returns its id.
-    pub fn push(&mut self, value: T) -> I {
-        let id = I::from_usize(self.items.len());
-        self.items.push(value);
-        id
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Clears all slots, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// Iterates `(id, &value)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (I, &T)> {
-        self.items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (I::from_usize(i), v))
-    }
-
-    /// The id a subsequent [`Arena::push`] would return.
-    pub fn next_id(&self) -> I {
-        I::from_usize(self.items.len())
-    }
-
-    /// Borrow by id, `None` past the end.
-    pub fn get(&self, id: I) -> Option<&T> {
-        self.items.get(id.index())
-    }
-
-    /// The raw backing slice, for bulk scans.
-    pub fn raw(&self) -> &[T] {
-        &self.items
-    }
-}
-
-impl<I: Idx, T> std::ops::Index<I> for Arena<I, T> {
-    type Output = T;
-    fn index(&self, id: I) -> &T {
-        &self.items[id.index()]
-    }
-}
-
-impl<I: Idx, T> std::ops::IndexMut<I> for Arena<I, T> {
-    fn index_mut(&mut self, id: I) -> &mut T {
-        &mut self.items[id.index()]
-    }
-}
-
-impl<I: Idx, T> FromIterator<T> for Arena<I, T> {
-    fn from_iter<It: IntoIterator<Item = T>>(iter: It) -> Self {
-        Arena {
-            items: iter.into_iter().collect(),
-            _marker: PhantomData,
-        }
-    }
-}
 
 /// A dense table of generation-stamped cache slots.
 ///
@@ -192,40 +33,20 @@ pub struct GenTable<T> {
 
 impl<T> Default for GenTable<T> {
     fn default() -> Self {
-        GenTable::new()
-    }
-}
-
-impl<T> GenTable<T> {
-    /// An empty table.
-    pub fn new() -> Self {
         GenTable {
             stamps: Vec::new(),
             values: Vec::new(),
         }
     }
+}
 
-    /// Grows the table to cover `len` slots (new slots empty, stamp 0).
-    pub fn resize_with_empty(&mut self, len: usize) {
-        self.stamps.resize(len, 0);
-        self.values.resize_with(len, || None);
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
+impl<T> GenTable<T> {
     /// Writes `value` into `slot` with generation `stamp`, growing the
-    /// table if needed.
+    /// table if needed (new slots empty, stamp 0).
     pub fn put(&mut self, slot: usize, stamp: u64, value: T) {
         if slot >= self.values.len() {
-            self.resize_with_empty(slot + 1);
+            self.stamps.resize(slot + 1, 0);
+            self.values.resize_with(slot + 1, || None);
         }
         self.stamps[slot] = stamp;
         self.values[slot] = Some(value);
@@ -236,21 +57,6 @@ impl<T> GenTable<T> {
         match self.values.get(slot) {
             Some(Some(v)) => Some((self.stamps[slot], v)),
             _ => None,
-        }
-    }
-
-    /// Re-stamps an occupied slot (a cache hit revalidated at `stamp`).
-    pub fn touch(&mut self, slot: usize, stamp: u64) {
-        if slot < self.stamps.len() && self.values[slot].is_some() {
-            self.stamps[slot] = stamp;
-        }
-    }
-
-    /// Empties one slot.
-    pub fn evict(&mut self, slot: usize) {
-        if slot < self.values.len() {
-            self.values[slot] = None;
-            self.stamps[slot] = 0;
         }
     }
 
@@ -267,20 +73,6 @@ impl<T> GenTable<T> {
         }
         evicted
     }
-
-    /// Clears every slot, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.stamps.clear();
-        self.values.clear();
-    }
-
-    /// Occupied slots, in slot order.
-    pub fn occupied(&self) -> impl Iterator<Item = (usize, u64, &T)> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (i, self.stamps[i], v)))
-    }
 }
 
 /// Compressed-sparse-row adjacency: `offsets[n]..offsets[n + 1]` indexes
@@ -296,16 +88,6 @@ impl Csr {
     /// The half-open slot range of node `n`'s edges.
     pub fn range(&self, n: usize) -> std::ops::Range<usize> {
         self.offsets[n] as usize..self.offsets[n + 1] as usize
-    }
-
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Total number of edge slots.
-    pub fn edges(&self) -> usize {
-        self.offsets.last().copied().unwrap_or(0) as usize
     }
 }
 
@@ -397,25 +179,6 @@ impl U64Set {
         U64Set::default()
     }
 
-    /// An empty set sized for at least `cap` keys without growing.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut set = U64Set::default();
-        if cap > 0 {
-            set.grow_to(cap.next_power_of_two().max(8) * 2);
-        }
-        set
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Removes every key, keeping the allocation.
     pub fn clear(&mut self) {
         self.occupied.fill(0);
@@ -491,45 +254,19 @@ impl U64Set {
 mod tests {
     use super::*;
 
-    define_id! {
-        /// Test-only id.
-        TestId
-    }
-
-    #[test]
-    fn arena_pushes_and_indexes() {
-        let mut arena: Arena<TestId, &str> = Arena::new();
-        let a = arena.push("a");
-        let b = arena.push("b");
-        assert_eq!(a, TestId(0));
-        assert_eq!(arena[b], "b");
-        assert_eq!(arena.len(), 2);
-        assert_eq!(
-            arena.iter().collect::<Vec<_>>(),
-            vec![(TestId(0), &"a"), (TestId(1), &"b")]
-        );
-        arena[a] = "z";
-        assert_eq!(arena.raw(), &["z", "b"]);
-        assert_eq!(arena.get(TestId(9)), None);
-        assert_eq!(arena.next_id(), TestId(2));
-    }
-
     #[test]
     fn gen_table_stamps_and_evicts() {
-        let mut t: GenTable<&str> = GenTable::new();
-        t.put(3, 1, "x");
+        let mut t: GenTable<&str> = GenTable::default();
+        t.put(3, 5, "x");
         t.put(1, 2, "y");
-        assert_eq!(t.get(3), Some((1, &"x")));
+        assert_eq!(t.get(3), Some((5, &"x")));
         assert_eq!(t.get(0), None);
         assert_eq!(t.get(99), None);
-        t.touch(3, 5);
-        assert_eq!(t.get(3), Some((5, &"x")));
         assert_eq!(t.evict_older_than(3), 1); // slot 1 (stamp 2) goes
         assert_eq!(t.get(1), None);
         assert_eq!(t.get(3), Some((5, &"x")));
-        t.evict(3);
+        assert_eq!(t.evict_older_than(6), 1);
         assert_eq!(t.get(3), None);
-        assert_eq!(t.occupied().count(), 0);
     }
 
     #[test]
@@ -549,8 +286,6 @@ mod tests {
         let s = b.fill(2);
         to[s] = 12;
         let csr = b.build();
-        assert_eq!(csr.nodes(), 3);
-        assert_eq!(csr.edges(), 3);
         assert_eq!(csr.range(0), 0..2);
         assert_eq!(csr.range(1), 2..2);
         assert_eq!(csr.range(2), 2..3);
@@ -563,14 +298,14 @@ mod tests {
         assert!(set.insert(0));
         assert!(!set.insert(0));
         assert!(set.insert(u64::MAX));
-        for i in 0..1_000u64 {
-            set.insert(i.wrapping_mul(0x1234_5678_9ABC_DEF1));
-        }
-        assert_eq!(set.len(), 1_001); // 0 collides with i=0's product
+        let fresh = (0..1_000u64)
+            .filter(|i| set.insert(i.wrapping_mul(0x1234_5678_9ABC_DEF1)))
+            .count();
+        assert_eq!(fresh, 999); // 0 collides with i=0's product
         assert!(set.contains(u64::MAX));
         assert!(!set.contains(42));
         set.clear();
-        assert!(set.is_empty());
+        assert!(!set.contains(0));
         assert!(!set.contains(u64::MAX));
         assert!(set.insert(u64::MAX));
     }
@@ -578,7 +313,7 @@ mod tests {
     #[test]
     fn u64set_matches_a_reference_set() {
         use std::collections::BTreeSet;
-        let mut ours = U64Set::with_capacity(4);
+        let mut ours = U64Set::new();
         let mut reference = BTreeSet::new();
         let mut x = 7u64;
         for _ in 0..5_000 {
@@ -589,7 +324,6 @@ mod tests {
             let key = x % 2_048;
             assert_eq!(ours.insert(key), reference.insert(key));
         }
-        assert_eq!(ours.len(), reference.len());
         for key in 0..2_048 {
             assert_eq!(ours.contains(key), reference.contains(&key), "{key}");
         }

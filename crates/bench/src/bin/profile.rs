@@ -161,8 +161,7 @@ fn profile_decompose(lib: &mbr_liberty::Library) {
         let mut nodes = 0u64;
         for set in &sets {
             let mut sp = mbr_lp::SetPartition::new(set.elements.len());
-            sp.set_lp_bound(options.lp_bound)
-                .set_dual_order(options.dual_ordering);
+            sp.set_lp_bound(options.lp_bound);
             for (i, idx) in set.member_idx.iter().enumerate() {
                 sp.add_candidate(idx, set.candidates[i].weight);
             }

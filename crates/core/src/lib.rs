@@ -130,10 +130,6 @@ pub struct ComposerOptions {
     /// unchanged branch order, so selections are byte-identical; it only
     /// prunes earlier.
     pub lp_bound: bool,
-    /// Re-order candidate branches by LP reduced cost inside the B&B.
-    /// Weight-identical but may pick a different tied optimum, so it is off
-    /// by default and excluded from the byte-identity guarantee.
-    pub dual_ordering: bool,
     /// Sub-clique enumeration may *visit* at most
     /// `max_candidates_per_partition × this` subsets per partition — dense
     /// partitions reject almost every subset as blocked (`w = ∞`), so a
@@ -157,9 +153,11 @@ pub struct ComposerOptions {
     /// builds (tests always check everything) and [`Paranoia::Cheap`] in
     /// release. Findings land in [`ComposeOutcome::diagnostics`].
     pub paranoia: Paranoia,
-    /// Worker threads for the parallel sections (per-partition candidate
-    /// enumeration, per-partition assignment ILPs, and the two arms of
-    /// speculative decomposition). Results are identical at every value —
+    /// Worker threads for the parallel sections: per-partition candidate
+    /// enumeration, per-partition assignment ILPs (each partition one
+    /// task, solved serially; the largest partitions solve one at a time
+    /// to bound peak memory), and the two arms of speculative
+    /// decomposition. Results are identical at every value —
     /// the executor collects in input order and worker observability is
     /// buffered and replayed deterministically ([`mbr_obs::TaskObs`]).
     /// Defaults to [`mbr_par::thread_count`] (`MBR_THREADS`, else capped
@@ -181,7 +179,6 @@ impl Default for ComposerOptions {
             prune_subsets: true,
             prune_compat_edges: true,
             lp_bound: true,
-            dual_ordering: false,
             subclique_visit_multiplier: 64,
             apply_useful_skew: true,
             skew: SkewConfig::default(),

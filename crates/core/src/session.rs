@@ -136,7 +136,7 @@ pub enum EcoError {
     NameTaken(String),
     /// The register's footprint would leave the die at the target location.
     OutsideDie(String),
-    /// The clock period must be positive.
+    /// The clock period must be positive and finite.
     BadPeriod(f64),
     /// `carve` corners must satisfy `x0 <= x1` and `y0 <= y1`.
     BadRegion,
@@ -152,7 +152,9 @@ impl fmt::Display for EcoError {
             EcoError::UnknownCell(n) => write!(f, "no library cell named `{n}`"),
             EcoError::NameTaken(n) => write!(f, "an instance named `{n}` already exists"),
             EcoError::OutsideDie(n) => write!(f, "`{n}` would leave the die"),
-            EcoError::BadPeriod(p) => write!(f, "clock period must be positive, got {p}"),
+            EcoError::BadPeriod(p) => {
+                write!(f, "clock period must be positive and finite, got {p}")
+            }
             EcoError::BadRegion => write!(f, "carve region corners are inverted"),
             EcoError::Edit(e) => write!(f, "netlist edit rejected: {e}"),
         }
@@ -252,7 +254,7 @@ pub fn apply_eco(
             })
         }
         Eco::TightenClock { period_ps } => {
-            if *period_ps <= 0.0 || period_ps.is_nan() {
+            if !period_ps.is_finite() || *period_ps <= 0.0 {
                 return Err(EcoError::BadPeriod(*period_ps));
             }
             model.clock_period = *period_ps;
@@ -299,11 +301,12 @@ fn live_register(design: &Design, name: &str) -> Result<InstId, EcoError> {
     Ok(id)
 }
 
+/// A footprint whose far corner overflows `i64` is outside every die.
 fn check_in_die(die: Rect, loc: Point, w: i64, h: i64, name: &str) -> Result<(), EcoError> {
     let inside = loc.x >= die.lo().x
         && loc.y >= die.lo().y
-        && loc.x + w <= die.hi().x
-        && loc.y + h <= die.hi().y;
+        && loc.x.checked_add(w).is_some_and(|x| x <= die.hi().x)
+        && loc.y.checked_add(h).is_some_and(|y| y <= die.hi().y);
     if inside {
         Ok(())
     } else {

@@ -1,17 +1,15 @@
 //! Stage 5: the assignment ILP (Section 3.1) and the Fig. 6 greedy
 //! baseline.
 //!
-//! Each partition is an independent set-partitioning instance, so they
-//! solve in parallel; workers buffer their solver counters/spans and the
-//! main thread replays them in partition order, keeping traces and counter
-//! totals identical to the serial flow. Instances large enough to dominate
-//! the stage's wall-clock (see [`PARALLEL_SOLVE_MIN_CANDIDATES`] /
-//! [`PARALLEL_SOLVE_MIN_ELEMENTS`]) instead solve *inline* on the calling
-//! thread with the solver's own speculative-subtree pool engaged — one big
-//! tree across all workers beats one worker per tree when a single tree is
-//! the critical path. The split is decided by instance shape alone, and the
-//! solver's ordered commit protocol keeps node accounting thread-invariant,
-//! so counters and results never depend on the thread count. On the session
+//! Each partition is an independent set-partitioning instance, solved
+//! serially as one worker task; workers buffer their solver
+//! counters/spans and the main thread replays them in partition order,
+//! keeping traces and counter totals identical to the serial flow.
+//! Partitions with at least [`INLINE_SOLVE_MIN_CANDIDATES`] candidates
+//! instead solve one at a time on the calling thread (still buffered and
+//! replayed in order), so that no two of their dense root LP relaxations
+//! are in memory at once. The split is decided by instance shape alone, so
+//! counters and results never depend on the thread count. On the session
 //! backend, partitions with a memoized solution skip the solver entirely
 //! and replay the stored selection (node counts included, so
 //! [`ComposeOutcome::ilp_nodes`] still totals exactly what a batch run
@@ -38,14 +36,12 @@ pub(crate) struct Selection {
     pub solves: Vec<Option<(Vec<usize>, u64)>>,
 }
 
-/// Candidate-count threshold above which a partition's ILP solves inline
-/// with the solver's speculative-subtree pool instead of as one worker task.
-const PARALLEL_SOLVE_MIN_CANDIDATES: usize = 256;
-
-/// Element-count threshold for the same inline-solve split (search-tree
-/// depth grows with elements, so wide-and-deep instances dominate the
-/// stage even with few candidates).
-const PARALLEL_SOLVE_MIN_ELEMENTS: usize = 24;
+/// Candidate count from which a partition's ILP solves on the calling
+/// thread, one at a time, instead of as a worker task. The root LP
+/// relaxation of such an instance is a dense `elements × candidates`
+/// tableau; solving two at once raises the stage's peak memory (DESIGN.md
+/// §9 has the measurements).
+const INLINE_SOLVE_MIN_CANDIDATES: usize = 256;
 
 /// Solves the assignment problem of every partition.
 pub(crate) fn run(
@@ -64,10 +60,7 @@ pub(crate) fn run(
         .iter()
         .zip(enumeration.reused.iter())
         .collect();
-    let solve_one = |set: &CandidateSet,
-                     reused: &Option<(Vec<usize>, u64)>,
-                     solver_threads: usize|
-     -> SolveResult {
+    let solve_one = |set: &CandidateSet, reused: &Option<(Vec<usize>, u64)>| -> SolveResult {
         if let Some((selected, nodes)) = reused {
             return Ok((selected.clone(), *nodes));
         }
@@ -75,9 +68,7 @@ pub(crate) fn run(
             Strategy::Ilp => {
                 let _solve = handle.attach("flow.compose.assignment.solve");
                 let mut sp = SetPartition::new(set.elements.len());
-                sp.set_lp_bound(options.lp_bound)
-                    .set_dual_order(options.dual_ordering)
-                    .set_threads(solver_threads);
+                sp.set_lp_bound(options.lp_bound);
                 for idx in &set.member_idx {
                     // weights are finite by construction
                     let w = set.candidates[sp.num_candidates()].weight;
@@ -91,16 +82,12 @@ pub(crate) fn run(
     };
 
     // Shape-based split (thread-count-independent by construction): big
-    // instances get the whole pool inside one solve, the rest fan out one
-    // per worker with a serial solver.
-    let is_big = |set: &CandidateSet| {
-        set.candidates.len() >= PARALLEL_SOLVE_MIN_CANDIDATES
-            || set.elements.len() >= PARALLEL_SOLVE_MIN_ELEMENTS
-    };
+    // instances solve one at a time below, the rest fan out as tasks.
+    let is_big = |set: &CandidateSet| set.candidates.len() >= INLINE_SOLVE_MIN_CANDIDATES;
     let small: Vec<usize> = (0..work.len()).filter(|&i| !is_big(work[i].0)).collect();
     let small_results = mbr_par::par_map(options.threads, &small, |_, &i| {
         let (set, reused) = work[i];
-        TaskObs::capture(&handle, || solve_one(set, reused, 1))
+        TaskObs::capture(&handle, || solve_one(set, reused))
     });
     // Merge back into partition order: `small` is ascending and par_map
     // returns results in input order, so one forward pass interleaves the
@@ -115,9 +102,7 @@ pub(crate) fn run(
                     results.push(res);
                 }
             }
-            _ => results.push(TaskObs::capture(&handle, || {
-                solve_one(set, reused, options.threads)
-            })),
+            _ => results.push(TaskObs::capture(&handle, || solve_one(set, reused))),
         }
     }
 

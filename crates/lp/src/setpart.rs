@@ -27,24 +27,11 @@
 //!   Because the bound is admissible and the branch order is untouched, the
 //!   returned selection is bit-identical to the unpruned search (see
 //!   `DESIGN.md` §11 and `tests/differential.rs`);
-//! * **dual-guided ordering** (opt-in, [`SetPartition::set_dual_order`]):
-//!   branch candidates in ascending reduced cost `w_S - Σ_{e∈S} y_e`
-//!   instead of ascending weight. This changes tie-breaking among equal-cost
-//!   optima, so it is a separate knob proven weight-identical only;
 //! * **element selection**: branch on the uncovered element with the fewest
-//!   admissible candidates (fail-first);
-//! * **speculative subtree parallelism** (opt-in,
-//!   [`SetPartition::set_threads`]): the bitmask path explores the root
-//!   pivot's branches as speculative tasks on a worker pool, each seeded
-//!   with the root incumbent, and commits them **in branch order**. A
-//!   speculation is accepted only when the incumbent it started from is
-//!   still current and its node count fits the remaining budget — otherwise
-//!   the subtree re-runs serially with the live incumbent (counted in
-//!   `lp.setpart.subtree_restarts`). Accepted-or-restarted, every branch
-//!   contributes exactly the nodes, prunes, and improvements the serial
-//!   search would have recorded, so the selection *and* the node accounting
-//!   are byte-identical at every thread count. The general (> 64 element)
-//!   path always searches serially.
+//!   admissible candidates (fail-first).
+//!
+//! Each solve runs on the calling thread. The composition flow parallelizes
+//! across partitions, which are independent instances, never inside one.
 //!
 //! Instances coming from the composition flow always include singleton
 //! candidates, so they are feasible by construction; the solver nevertheless
@@ -156,8 +143,6 @@ pub struct SetPartition {
     num_elements: usize,
     candidates: Vec<Candidate>,
     use_lp_bound: bool,
-    dual_order: bool,
-    threads: usize,
 }
 
 /// Below this many surviving candidates the search tree is small enough
@@ -166,26 +151,14 @@ pub struct SetPartition {
 const LP_BOUND_MIN_CANDIDATES: usize = 16;
 
 impl SetPartition {
-    /// Creates an instance over elements `0..num_elements`. Both pruning
-    /// knobs start off, so a plain `solve()` is the reference search.
+    /// Creates an instance over elements `0..num_elements`. The LP bound
+    /// starts off, so a plain `solve()` is the reference search.
     pub fn new(num_elements: usize) -> Self {
         SetPartition {
             num_elements,
             candidates: Vec::new(),
             use_lp_bound: false,
-            dual_order: false,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker budget for speculative root-subtree exploration in
-    /// the bitmask search (clamped to at least 1; default 1 = everything on
-    /// the calling thread). The ordered commit protocol makes the selection
-    /// and the node accounting identical at every thread count, so this is
-    /// purely a wall-clock knob.
-    pub fn set_threads(&mut self, threads: usize) -> &mut Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Enables the LP-relaxation dual bound. Admissible and applied with an
@@ -193,14 +166,6 @@ impl SetPartition {
     /// reference search — only `nodes_explored` shrinks.
     pub fn set_lp_bound(&mut self, on: bool) -> &mut Self {
         self.use_lp_bound = on;
-        self
-    }
-
-    /// Enables dual-guided candidate ordering (ascending reduced cost).
-    /// Changes tie-breaking among equal-weight optima: the result is
-    /// weight-identical but not necessarily the same selection.
-    pub fn set_dual_order(&mut self, on: bool) -> &mut Self {
-        self.dual_order = on;
         self
     }
 
@@ -331,15 +296,13 @@ impl SetPartition {
             return Err(SetPartitionError::Infeasible);
         }
 
-        // One root LP-relaxation solve, shared by the bound and the dual
-        // ordering. Skipped on small instances where the search tree is
-        // cheaper than the simplex.
-        let potentials =
-            if (self.use_lp_bound || self.dual_order) && active.len() >= LP_BOUND_MIN_CANDIDATES {
-                lp_potentials(&self.candidates, &active, self.num_elements)
-            } else {
-                None
-            };
+        // One root LP-relaxation solve for the bound. Skipped on small
+        // instances where the search tree is cheaper than the simplex.
+        let potentials = if self.use_lp_bound && active.len() >= LP_BOUND_MIN_CANDIDATES {
+            lp_potentials(&self.candidates, &active, self.num_elements)
+        } else {
+            None
+        };
 
         // Composition partitions are <= 30 registers: a bitmask search is
         // an order of magnitude faster there. Larger instances take the
@@ -351,9 +314,7 @@ impl SetPartition {
                 self.num_elements,
                 max_nodes,
                 self.use_lp_bound,
-                self.dual_order,
                 potentials.as_ref(),
-                self.threads,
             );
             return searcher.run().ok_or(SetPartitionError::Infeasible);
         }
@@ -363,7 +324,6 @@ impl SetPartition {
             num_elements: self.num_elements,
             max_nodes,
             use_lp_bound: self.use_lp_bound,
-            dual_order: self.dual_order,
             potentials: potentials.as_ref(),
         };
         searcher.run().ok_or(SetPartitionError::Infeasible)
@@ -449,20 +409,16 @@ struct MaskSearcher {
     full: u64,
     num_elements: usize,
     max_nodes: u64,
-    threads: usize,
 }
 
 impl MaskSearcher {
-    #[allow(clippy::too_many_arguments)]
     fn build(
         candidates: &[Candidate],
         covers: &[Vec<usize>],
         num_elements: usize,
         max_nodes: u64,
         use_lp_bound: bool,
-        dual_order: bool,
         potentials: Option<&LpPotentials>,
-        threads: usize,
     ) -> MaskSearcher {
         // Active candidates are exactly those present in the covers lists.
         let mut active: Vec<usize> = covers.iter().flatten().copied().collect();
@@ -499,23 +455,6 @@ impl MaskSearcher {
                     .expect("finite weights")
             });
         }
-        if let (true, Some(p)) = (dual_order, potentials) {
-            // Reduced cost w_S - Σ_{e∈S} y_e: most promising columns first.
-            // The stable sort keeps the ascending-weight order among ties.
-            let reduced = |slot: u32| -> f64 {
-                let mut rc = weights[slot as usize];
-                let mut mask = masks[slot as usize];
-                while mask != 0 {
-                    let e = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    rc -= p.y[e];
-                }
-                rc
-            };
-            for list in &mut local_covers {
-                list.sort_by(|&a, &b| reduced(a).partial_cmp(&reduced(b)).expect("finite weights"));
-            }
-        }
         let full = if num_elements == 64 {
             u64::MAX
         } else {
@@ -533,7 +472,6 @@ impl MaskSearcher {
             full,
             num_elements,
             max_nodes,
-            threads,
         }
     }
 
@@ -551,14 +489,8 @@ impl MaskSearcher {
         if skip_dfs {
             stats.lp_cuts += 1;
         } else {
-            self.root_branch_and_bound(&mut best, &mut stats);
+            self.dfs(0, 0.0, &mut Vec::new(), &mut best, &mut stats);
         }
-        // The work counters flush on the solving thread (buffered and
-        // replayed in partition order when this runs inside a worker task),
-        // and their values are thread-count-invariant by the ordered commit
-        // protocol — so they are emitted unconditionally, batch included.
-        obs::counter(Counter::SetPartSubtreesSpawned, stats.spawned);
-        obs::counter(Counter::SetPartSubtreeRestarts, stats.restarts);
         // Proven unless the budget actually truncated the tree: a search
         // that drains on exactly its last allowed node is still exact.
         let proven_optimal = !stats.budget_hit;
@@ -571,170 +503,6 @@ impl MaskSearcher {
             lp_bound_cuts: stats.lp_cuts,
             proven_optimal,
         })
-    }
-
-    /// The root node of the search, unrolled so the pivot's branches can be
-    /// explored speculatively: each branch runs [`MaskSearcher::dfs`] against
-    /// a *snapshot* of the root incumbent, and an ordered commit loop accepts
-    /// a speculation only when the serial search would have entered that
-    /// subtree with exactly that incumbent and node budget. Rejected
-    /// speculations re-run serially with the live state, so the incumbent
-    /// sequence, the node accounting, and the selection are byte-identical
-    /// to the plain recursive search at every thread count (`threads == 1`
-    /// evaluates the same protocol lazily, which *is* the serial search).
-    fn root_branch_and_bound(&self, best: &mut Option<(Vec<u32>, f64)>, stats: &mut SearchStats) {
-        // Entry bookkeeping of dfs(), replicated for the root node
-        // (covered = 0, cost = 0; a completed cover is impossible here —
-        // empty instances return before the search is built).
-        if stats.nodes >= self.max_nodes {
-            stats.budget_hit = true;
-            return;
-        }
-        stats.nodes += 1;
-        if let Some((_, b)) = best {
-            let (share_lb, dual_lb) = self.bounds(0);
-            let lb = if self.use_lp_bound && dual_lb > share_lb {
-                dual_lb
-            } else {
-                share_lb
-            };
-            if lb >= *b - 1e-12 {
-                if share_lb < *b - 1e-12 {
-                    stats.lp_cuts += 1;
-                }
-                stats.pruned += 1;
-                return;
-            }
-        }
-        // Root pivot: fewest static covers, as in dfs().
-        let mut pivot = usize::MAX;
-        let mut pivot_count = usize::MAX;
-        let mut uncovered = self.full;
-        while uncovered != 0 {
-            let e = uncovered.trailing_zeros() as usize;
-            uncovered &= uncovered - 1;
-            let count = self.covers[e].len();
-            if count < pivot_count {
-                pivot_count = count;
-                pivot = e;
-            }
-        }
-        debug_assert!(pivot < self.num_elements);
-        let branches = &self.covers[pivot];
-        stats.spawned += branches.len() as u64;
-
-        // Speculate eagerly only when a pool would actually overlap the
-        // work; at threads <= 1 the commit loop computes each speculation
-        // lazily, which short-circuits to the serial search.
-        let root_best = best.clone();
-        let mut specs: Vec<Option<Speculation>> = if self.threads > 1 {
-            mbr_par::par_map(self.threads, branches, |_, &slot| {
-                Some(self.speculate(slot, &root_best))
-            })
-        } else {
-            vec![None; branches.len()]
-        };
-
-        let mut incumbent_changed = false;
-        let mut chosen: Vec<u32> = Vec::new();
-        for (i, &slot) in branches.iter().enumerate() {
-            if !incumbent_changed {
-                let (spec_best, spec_stats) = match specs[i].take() {
-                    Some(spec) => spec,
-                    None => self.speculate(slot, &root_best),
-                };
-                // Commit test: the serial search would have entered this
-                // subtree with the root incumbent (it still holds) — accept
-                // the speculation iff its node count also fits what the
-                // serial budget would have allowed from here.
-                if !spec_stats.budget_hit && stats.nodes + spec_stats.nodes <= self.max_nodes {
-                    stats.nodes += spec_stats.nodes;
-                    stats.pruned += spec_stats.pruned;
-                    stats.lp_cuts += spec_stats.lp_cuts;
-                    stats.improved += spec_stats.improved;
-                    if spec_stats.improved > 0 {
-                        *best = spec_best;
-                        incumbent_changed = true;
-                    }
-                    continue;
-                }
-                // Budget-boundary speculation: discard it wholesale (its
-                // tree is not what a budgeted serial search explores) and
-                // fall through to the serial re-run below.
-            }
-            // Serial re-run against the live incumbent and the true
-            // remaining budget — byte-for-byte the dfs() branch loop body.
-            stats.restarts += 1;
-            let mask = self.masks[slot as usize];
-            let improved_before = stats.improved;
-            if self.use_lp_bound {
-                if let Some(b) = best.as_ref().map(|&(_, c)| c) {
-                    let next_cost = self.weights[slot as usize];
-                    let (share_lb, dual_lb) = self.bounds(mask);
-                    let lb = if dual_lb > share_lb {
-                        dual_lb
-                    } else {
-                        share_lb
-                    };
-                    if next_cost + lb >= b - 1e-12 {
-                        if next_cost + share_lb < b - 1e-12 {
-                            stats.lp_cuts += 1;
-                        }
-                        stats.pruned += 1;
-                        continue;
-                    }
-                }
-            }
-            chosen.push(slot);
-            self.dfs(mask, self.weights[slot as usize], &mut chosen, best, stats);
-            chosen.pop();
-            if stats.improved > improved_before {
-                incumbent_changed = true;
-            }
-        }
-    }
-
-    /// One speculative root branch: the dfs() branch-loop body run against a
-    /// snapshot of the root incumbent with private stats. Makes no
-    /// observability calls, so it is safe on worker threads; the commit loop
-    /// in [`MaskSearcher::root_branch_and_bound`] decides whether its result
-    /// ever becomes visible.
-    fn speculate(
-        &self,
-        slot: u32,
-        root_best: &Option<(Vec<u32>, f64)>,
-    ) -> (Option<(Vec<u32>, f64)>, SearchStats) {
-        let mut best = root_best.clone();
-        let mut stats = SearchStats::default();
-        let mask = self.masks[slot as usize];
-        // Look-ahead entry test, as in the dfs() branch loop.
-        if self.use_lp_bound {
-            if let Some(b) = best.as_ref().map(|&(_, c)| c) {
-                let next_cost = self.weights[slot as usize];
-                let (share_lb, dual_lb) = self.bounds(mask);
-                let lb = if dual_lb > share_lb {
-                    dual_lb
-                } else {
-                    share_lb
-                };
-                if next_cost + lb >= b - 1e-12 {
-                    if next_cost + share_lb < b - 1e-12 {
-                        stats.lp_cuts += 1;
-                    }
-                    stats.pruned += 1;
-                    return (best, stats);
-                }
-            }
-        }
-        let mut chosen = vec![slot];
-        self.dfs(
-            mask,
-            self.weights[slot as usize],
-            &mut chosen,
-            &mut best,
-            &mut stats,
-        );
-        (best, stats)
     }
 
     fn greedy(&self) -> Option<(Vec<u32>, f64)> {
@@ -871,12 +639,6 @@ impl MaskSearcher {
     }
 }
 
-/// A speculative subtree's result: the best `(selection, cost)` incumbent
-/// it found starting from the root incumbent, plus its private search
-/// stats — exactly what [`MaskSearcher::speculate`] returns and the
-/// ordered commit loop consumes.
-type Speculation = (Option<(Vec<u32>, f64)>, SearchStats);
-
 /// Search-effort counters shared by both branch-and-bound paths; flushed
 /// once per solve through the observability layer.
 #[derive(Clone, Copy, Debug, Default)]
@@ -885,14 +647,6 @@ struct SearchStats {
     pruned: u64,
     improved: u64,
     lp_cuts: u64,
-    /// Root branches that entered the ordered commit loop of the mask
-    /// path's speculative search (0 on the general path).
-    spawned: u64,
-    /// Root branches whose speculation was rejected (stale incumbent or
-    /// budget boundary) and re-ran serially. Thread-count-invariant: the
-    /// commit protocol runs identically whether speculations were computed
-    /// eagerly on a pool or lazily in the loop.
-    restarts: u64,
     /// Set only when the node budget actually refused a node — the one
     /// signal that distinguishes a truncated search from one that drained
     /// its tree on exactly the last allowed node.
@@ -905,7 +659,6 @@ struct Searcher<'a> {
     num_elements: usize,
     max_nodes: u64,
     use_lp_bound: bool,
-    dual_order: bool,
     potentials: Option<&'a LpPotentials>,
 }
 
@@ -1095,19 +848,6 @@ impl<'a> Searcher<'a> {
                 .partial_cmp(&self.candidates[b].weight)
                 .expect("finite weights")
         });
-        if let (true, Some(p)) = (self.dual_order, self.potentials) {
-            // Ascending reduced cost; the stable sort keeps ascending
-            // weight among reduced-cost ties.
-            let reduced = |i: usize| -> f64 {
-                self.candidates[i].weight
-                    - self.candidates[i]
-                        .elements
-                        .iter()
-                        .map(|&e| p.y[e])
-                        .sum::<f64>()
-            };
-            options.sort_by(|&a, &b| reduced(a).partial_cmp(&reduced(b)).expect("finite weights"));
-        }
         for i in options {
             let cand = &self.candidates[i];
             for &x in &cand.elements {
@@ -1406,124 +1146,16 @@ mod lp_bound_tests {
     }
 
     #[test]
-    fn dual_order_is_weight_identical() {
-        let off = asymmetric_chain().solve().unwrap();
-        let mut on = asymmetric_chain();
-        on.set_lp_bound(true).set_dual_order(true);
-        let on = on.solve().unwrap();
-        assert!((on.cost - off.cost).abs() < 1e-9, "reordering keeps weight");
-        // The selection is still a valid exact cover.
-        let sp = asymmetric_chain();
-        let mut covered = [false; 12];
-        for &i in &on.selected {
-            for &e in &sp.candidates[i].elements {
-                assert!(!covered[e], "double cover");
-                covered[e] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c));
-    }
-
-    #[test]
     fn tiny_instances_skip_the_relaxation() {
-        // Fewer than LP_BOUND_MIN_CANDIDATES columns: flags are inert.
+        // Fewer than LP_BOUND_MIN_CANDIDATES columns: the flag is inert.
         let mut sp = SetPartition::new(2);
         sp.add_candidate(&[0], 1.0);
         sp.add_candidate(&[1], 1.0);
         sp.add_candidate(&[0, 1], 0.5);
-        sp.set_lp_bound(true).set_dual_order(true);
+        sp.set_lp_bound(true);
         let sol = sp.solve().unwrap();
         assert!((sol.cost - 0.5).abs() < 1e-12);
         assert_eq!(sol.lp_bound_cuts, 0);
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    /// A seeded instance generator (splitmix64) producing overlap-heavy
-    /// feasible instances that force real branching: singletons for
-    /// feasibility plus random 2–4 element subsets at varied weights.
-    fn seeded_instance(seed: u64, n: usize, extra: usize) -> SetPartition {
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        let mut sp = SetPartition::new(n);
-        for e in 0..n {
-            sp.add_candidate(&[e], 1.0);
-        }
-        for _ in 0..extra {
-            let k = 2 + (next() % 3) as usize;
-            let mut elems: Vec<usize> = (0..k).map(|_| (next() % n as u64) as usize).collect();
-            elems.sort_unstable();
-            elems.dedup();
-            let w = 0.3 + (next() % 1000) as f64 / 1000.0;
-            sp.add_candidate(&elems, w);
-        }
-        sp
-    }
-
-    /// The oracle: at 1, 2, and 8 threads the speculative search returns the
-    /// same incumbent (selection, not just cost) and the same node
-    /// accounting as the plain serial search, with and without the LP bound.
-    #[test]
-    fn thread_count_never_changes_selection_or_node_accounting() {
-        for seed in [1u64, 7, 42, 1234] {
-            for lp in [false, true] {
-                let mut reference = seeded_instance(seed, 18, 60);
-                reference.set_lp_bound(lp);
-                let reference = reference.solve().expect("feasible by singletons");
-                for threads in [1usize, 2, 8] {
-                    let mut sp = seeded_instance(seed, 18, 60);
-                    sp.set_lp_bound(lp).set_threads(threads);
-                    let sol = sp.solve().expect("feasible by singletons");
-                    assert_eq!(
-                        sol.selected, reference.selected,
-                        "seed {seed} lp {lp} threads {threads}: selection drifted"
-                    );
-                    assert_eq!(
-                        sol.nodes_explored, reference.nodes_explored,
-                        "seed {seed} lp {lp} threads {threads}: node accounting drifted"
-                    );
-                    assert_eq!(sol.nodes_pruned, reference.nodes_pruned);
-                    assert_eq!(sol.lp_bound_cuts, reference.lp_bound_cuts);
-                    assert_eq!(sol.incumbent_improvements, reference.incumbent_improvements);
-                    assert!((sol.cost - reference.cost).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    /// Budget truncation must also be thread-invariant: the commit protocol
-    /// discards speculations that overrun what the serial budget allows.
-    #[test]
-    fn bounded_search_is_thread_invariant() {
-        for budget in [1u64, 3, 10, 50, 200] {
-            let mut reference = seeded_instance(99, 16, 48);
-            let reference = reference
-                .set_threads(1)
-                .solve_bounded(budget)
-                .expect("feasible");
-            for threads in [2usize, 8] {
-                let mut sp = seeded_instance(99, 16, 48);
-                let sol = sp
-                    .set_threads(threads)
-                    .solve_bounded(budget)
-                    .expect("feasible");
-                assert_eq!(
-                    sol.selected, reference.selected,
-                    "budget {budget} threads {threads}"
-                );
-                assert_eq!(sol.nodes_explored, reference.nodes_explored);
-                assert_eq!(sol.proven_optimal, reference.proven_optimal);
-            }
-        }
     }
 }
 

@@ -2,10 +2,9 @@
 //! set-partitioning branch-and-bound, the generic simplex-based ILP
 //! branch-and-bound, and brute-force subset enumeration must agree on the
 //! optimal objective of randomized register-partition instances of up to 14
-//! registers — and every solver-level pruning feature, toggled
-//! independently, must leave the solve weight-identical (the LP bound
-//! additionally selection-identical) against the unpruned reference on the
-//! same seeded instance family.
+//! registers — and the solver-level LP bound, toggled, must leave the
+//! solve selection-identical against the unpruned reference on the same
+//! seeded instance family.
 
 use mbr_lp::{IlpProblem, Sense, SetPartition};
 use mbr_test::rng::splitmix64;
@@ -71,15 +70,10 @@ fn random_instance(rng: &mut Rng, n: usize) -> Vec<(Vec<usize>, f64)> {
     cands
 }
 
-/// Builds a `SetPartition` over `cands` with the given pruning flags.
-fn build_setpart(
-    n: usize,
-    cands: &[(Vec<usize>, f64)],
-    lp_bound: bool,
-    dual_order: bool,
-) -> SetPartition {
+/// Builds a `SetPartition` over `cands` with the LP bound on or off.
+fn build_setpart(n: usize, cands: &[(Vec<usize>, f64)], lp_bound: bool) -> SetPartition {
     let mut sp = SetPartition::new(n);
-    sp.set_lp_bound(lp_bound).set_dual_order(dual_order);
+    sp.set_lp_bound(lp_bound);
     for (elems, w) in cands {
         sp.add_candidate(elems, *w);
     }
@@ -125,8 +119,8 @@ fn lp_bound_toggle_is_selection_identical() {
         let mut rng = Rng::seed_from_u64(case_seed(1, case));
         let n = rng.gen_range(2usize..=14);
         let cands = random_instance(&mut rng, n);
-        let off = build_setpart(n, &cands, false, false).solve();
-        let on = build_setpart(n, &cands, true, false).solve();
+        let off = build_setpart(n, &cands, false).solve();
+        let on = build_setpart(n, &cands, true).solve();
         match (off, on) {
             (Ok(off), Ok(on)) => {
                 assert_eq!(
@@ -164,45 +158,9 @@ fn lp_bound_toggle_is_selection_identical() {
     }
 }
 
-/// Pruning rule 2 (dual-guided candidate ordering): reordering covers by
-/// reduced cost may pick a different optimum among ties, so the contract is
-/// weight-identity — the selection must still be a valid exact cover at
-/// exactly the reference (= brute force) cost.
-#[test]
-fn dual_order_toggle_is_weight_identical() {
-    for case in 0..CASES_PER_RULE {
-        let mut rng = Rng::seed_from_u64(case_seed(2, case));
-        let n = rng.gen_range(2usize..=14);
-        let cands = random_instance(&mut rng, n);
-        let off = build_setpart(n, &cands, false, false).solve();
-        let on = build_setpart(n, &cands, true, true).solve();
-        match (off, on) {
-            (Ok(off), Ok(on)) => {
-                assert!(
-                    (off.cost - on.cost).abs() < 1e-9,
-                    "case {case}: dual ordering changed the optimal weight: \
-                     {} vs {}",
-                    off.cost,
-                    on.cost
-                );
-                let cost = cover_cost(n, &cands, &on.selected);
-                assert!(
-                    (cost - on.cost).abs() < 1e-9,
-                    "case {case}: reported cost {} but cover sums to {cost}",
-                    on.cost
-                );
-                assert!(off.proven_optimal && on.proven_optimal);
-            }
-            (Err(_), Err(_)) => {}
-            (a, b) => panic!("case {case}: verdicts diverged: off {a:?}, on {b:?}"),
-        }
-    }
-}
-
-/// Pruning rule 3 (dual ordering without the bound): the knobs are
-/// independent, so ordering alone — reference bound arithmetic, permuted
-/// branch order — must also stay weight-identical, and feasibility verdicts
-/// must agree across the whole 2x2 toggle matrix.
+/// The toggle matrix (LP bound off and on) on an independent seed stream:
+/// feasibility verdicts and weights agree, and every returned selection is
+/// an exact cover at its reported cost.
 #[test]
 fn toggle_matrix_verdicts_and_weights_agree() {
     for case in 0..CASES_PER_RULE {
@@ -210,10 +168,8 @@ fn toggle_matrix_verdicts_and_weights_agree() {
         let n = rng.gen_range(2usize..=14);
         let cands = random_instance(&mut rng, n);
         let matrix = [
-            build_setpart(n, &cands, false, false).solve(),
-            build_setpart(n, &cands, true, false).solve(),
-            build_setpart(n, &cands, false, true).solve(),
-            build_setpart(n, &cands, true, true).solve(),
+            build_setpart(n, &cands, false).solve(),
+            build_setpart(n, &cands, true).solve(),
         ];
         match &matrix[0] {
             Ok(reference) => {
@@ -258,7 +214,7 @@ fn bounded_solves_stay_valid_and_monotone_under_pruning() {
         let mut rng = Rng::seed_from_u64(case_seed(4, case));
         let n = rng.gen_range(4usize..=14);
         let cands = random_instance(&mut rng, n);
-        let reference = match build_setpart(n, &cands, false, false).solve() {
+        let reference = match build_setpart(n, &cands, false).solve() {
             Ok(sol) => sol,
             Err(_) => continue, // infeasibility is covered by the matrix test
         };
@@ -266,7 +222,7 @@ fn bounded_solves_stay_valid_and_monotone_under_pruning() {
         // still finish: pruning only removes work under an unchanged
         // branch order.
         let budget = reference.nodes_explored;
-        let pruned = build_setpart(n, &cands, true, false)
+        let pruned = build_setpart(n, &cands, true)
             .solve_bounded(budget)
             .expect("feasible instance");
         assert!(
@@ -279,8 +235,7 @@ fn bounded_solves_stay_valid_and_monotone_under_pruning() {
         // exact cover, or honestly reports no cover found — the greedy
         // incumbent is best-effort and can corner itself on overlaps.
         if budget > 1 {
-            if let Ok(truncated) = build_setpart(n, &cands, false, false).solve_bounded(budget - 1)
-            {
+            if let Ok(truncated) = build_setpart(n, &cands, false).solve_bounded(budget - 1) {
                 let cost = cover_cost(n, &cands, &truncated.selected);
                 assert!((cost - truncated.cost).abs() < 1e-9);
                 assert!(

@@ -81,18 +81,11 @@ pub enum Counter {
     /// Skew sinks whose cached adjustment a session pass replayed after
     /// validating its timing inputs, instead of recomputing the decision.
     SkewSinksSkipped,
-    /// Root subtrees the set-partitioning solver handed to the speculative
-    /// parallel branch-and-bound commit loop (thread-count invariant).
-    SetPartSubtreesSpawned,
-    /// Speculative subtrees whose result could not be committed (an earlier
-    /// branch improved the incumbent first, or the node budget intervened)
-    /// and were re-explored serially for determinism.
-    SetPartSubtreeRestarts,
 }
 
 impl Counter {
     /// Every counter, in catalog order (documentation and validation).
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 28] = [
         Counter::SimplexPivots,
         Counter::SetPartSolves,
         Counter::SetPartNodesExplored,
@@ -121,8 +114,6 @@ impl Counter {
         Counter::SetPartLpBoundCuts,
         Counter::LegalizeRowsSkipped,
         Counter::SkewSinksSkipped,
-        Counter::SetPartSubtreesSpawned,
-        Counter::SetPartSubtreeRestarts,
     ];
 
     /// The stable dotted name used in traces and bench JSON.
@@ -156,8 +147,6 @@ impl Counter {
             Counter::SetPartLpBoundCuts => "lp.setpart.lp_bound_cuts",
             Counter::LegalizeRowsSkipped => "place.legalize.rows_skipped",
             Counter::SkewSinksSkipped => "cts.skew.sinks_skipped",
-            Counter::SetPartSubtreesSpawned => "lp.setpart.subtrees_spawned",
-            Counter::SetPartSubtreeRestarts => "lp.setpart.subtree_restarts",
         }
     }
 

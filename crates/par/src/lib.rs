@@ -49,35 +49,10 @@ pub const MAX_THREADS: usize = 64;
 /// an explicit `MBR_THREADS` may exceed this up to [`MAX_THREADS`].
 pub const DEFAULT_THREAD_CAP: usize = 8;
 
-/// Process-global thread-count override (0 = none); see
-/// [`with_thread_override`]. Takes precedence over `MBR_THREADS`.
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Runs `f` with [`thread_count`] forced to `n` (clamped to
-/// `1..=`[`MAX_THREADS`]), restoring the previous override afterwards —
-/// also on panic. The override is process-global, for benches and oracle
-/// tests that sweep thread counts within one process without touching the
-/// environment; it is not meant to nest across threads.
-pub fn with_thread_override<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.store(self.0, Ordering::SeqCst);
-        }
-    }
-    let _restore = Restore(THREAD_OVERRIDE.swap(n.clamp(1, MAX_THREADS), Ordering::SeqCst));
-    f()
-}
-
-/// Resolves the worker thread count: a [`with_thread_override`] scope when
-/// active, else `MBR_THREADS` when set to a positive integer (clamped to
-/// [`MAX_THREADS`]), else the machine's available parallelism clamped to
-/// [`DEFAULT_THREAD_CAP`]. Always at least 1.
+/// Resolves the worker thread count: `MBR_THREADS` when set to a positive
+/// integer (clamped to [`MAX_THREADS`]), else the machine's available
+/// parallelism clamped to [`DEFAULT_THREAD_CAP`]. Always at least 1.
 pub fn thread_count() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if forced != 0 {
-        return forced;
-    }
     match std::env::var("MBR_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n.min(MAX_THREADS),

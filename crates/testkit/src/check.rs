@@ -528,13 +528,14 @@ fn shrink<G: Gen>(
     while improved && budget > 0 {
         improved = false;
 
-        // Truncation: zero progressively smaller suffixes and chunks.
-        let n = current.len();
-        let mut chunk = n / 2;
+        // Truncation: zero progressively smaller suffixes and chunks. An
+        // accepted candidate may consume fewer choices (zeroing a length
+        // shortens a collection), so the bounds track `current` as it is.
+        let mut chunk = current.len() / 2;
         while chunk >= 1 && budget > 0 {
             let mut start = 0;
-            while start < n && budget > 0 {
-                let end = (start + chunk).min(n);
+            while start < current.len() && budget > 0 {
+                let end = (start + chunk).min(current.len());
                 if current[start..end].iter().any(|&c| c != 0) {
                     let mut cand = current.clone();
                     for c in &mut cand[start..end] {
@@ -758,6 +759,29 @@ mod tests {
         // Minimal failing vec has exactly 10 elements, all shrunk to 0.
         assert!(
             msg.contains("minimal counterexample: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"),
+            "got: {msg}"
+        );
+    }
+
+    #[test]
+    fn shrinking_survives_a_choice_stream_that_shortens() {
+        // Zeroing the length choice drops the vec to its 3-element minimum,
+        // so the accepted stream is shorter than the pass that tried it.
+        let gen = vec_of(0i64..100, 3usize..40);
+        let cfg = Config {
+            cases: 1,
+            seed: DEFAULT_SEED,
+            shrink_budget: 1024,
+        };
+        install_quiet_hook();
+        QUIET.with(|q| q.set(true));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            run("shorten", &cfg, gen, |v: Vec<i64>| assert!(v.len() < 3));
+        }));
+        QUIET.with(|q| q.set(false));
+        let msg = panic_message(result.expect_err("must fail"));
+        assert!(
+            msg.contains("minimal counterexample: [0, 0, 0]"),
             "got: {msg}"
         );
     }

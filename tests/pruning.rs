@@ -35,9 +35,7 @@ fn model_for(spec: &DesignSpec) -> DelayModel {
 }
 
 /// Default options with all pruning rules set together and every budget
-/// lifted out of the way (see the module docs). `dual_ordering` stays off
-/// in both arms: it is weight-preserving but not selection-preserving, so
-/// it is not part of the byte-identity contract.
+/// lifted out of the way (see the module docs).
 fn options(pruning: bool) -> ComposerOptions {
     ComposerOptions {
         prune_subsets: pruning,

@@ -280,4 +280,39 @@ fn rejected_ecos_leave_the_session_clean() {
         .unwrap_err();
     assert_eq!(err, EcoError::BadPeriod(-1.0));
     assert!(!session.is_dirty());
+    let err = session
+        .apply(&Eco::TightenClock {
+            period_ps: f64::INFINITY,
+        })
+        .unwrap_err();
+    assert_eq!(err, EcoError::BadPeriod(f64::INFINITY));
+    assert!(!session.is_dirty());
+
+    // A footprint whose far corner overflows i64 is outside the die, for
+    // both a moved and an added register.
+    let reg = session
+        .design()
+        .registers()
+        .next()
+        .map(|(_, inst)| inst.name.clone())
+        .expect("d1 has registers");
+    let err = session
+        .apply(&Eco::Move {
+            name: reg.clone(),
+            x: i64::MAX,
+            y: 0,
+        })
+        .unwrap_err();
+    assert_eq!(err, EcoError::OutsideDie(reg.clone()));
+    assert!(!session.is_dirty());
+    let err = session
+        .apply(&Eco::Add {
+            template: reg,
+            name: "r_overflow".into(),
+            x: i64::MAX,
+            y: 0,
+        })
+        .unwrap_err();
+    assert_eq!(err, EcoError::OutsideDie("r_overflow".into()));
+    assert!(!session.is_dirty());
 }

@@ -6,7 +6,7 @@
 //! values captured on the pointer/BTreeMap implementation.
 //!
 //! New observability added by later work (e.g. `place.legalize.rows_skipped`,
-//! `lp.setpart.subtrees_spawned`) is excluded via the [`LEGACY_COUNTERS`]
+//! `cts.skew.sinks_skipped`) is excluded via the [`LEGACY_COUNTERS`]
 //! whitelist by design — the contract is that the *pre-existing* observable
 //! behavior is byte-identical, while new counters may appear alongside it.
 
