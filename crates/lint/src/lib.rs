@@ -1,4 +1,4 @@
-//! `mbr-lint` — zero-dependency workspace static analysis.
+//! `mbr-lint` — workspace static analysis with no external dependencies.
 //!
 //! The runtime test suite can only *sample* the invariants the repro rests
 //! on: byte-identical results at any thread count, a closed obs counter

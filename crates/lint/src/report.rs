@@ -1,10 +1,11 @@
-//! Findings and the `LINT_report.json` serialization — a handwritten JSON
-//! emitter plus a minimal parser, in the same zero-dependency style as
-//! `mbr-obs`'s trace writer, so the report can be round-tripped in tests
-//! and consumed by CI without any external crate.
+//! Findings and the `LINT_report.json` serialization: a fixed-layout
+//! emitter and a reader, both on `mbr_obs::json`, so the report can be
+//! round-tripped in tests and consumed by CI.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use mbr_obs::json::{self, Value};
 
 use crate::rules::Rule;
 
@@ -120,16 +121,16 @@ impl Report {
                 None => s.push_str("null"),
             }
             let _ = write!(s, ", \"severity\": \"{}\", \"file\": ", f.severity.name());
-            write_json_string(&mut s, &f.file);
+            json::write_str(&mut s, &f.file);
             let _ = write!(s, ", \"line\": {}, \"message\": ", f.line);
-            write_json_string(&mut s, &f.message);
+            json::write_str(&mut s, &f.message);
             s.push('}');
         }
         s.push_str("\n  ],\n  \"p1\": [");
         for (i, (file, count)) in self.p1_counts.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str("    {\"file\": ");
-            write_json_string(&mut s, file);
+            json::write_str(&mut s, file);
             let _ = write!(s, ", \"count\": {count}}}");
         }
         s.push_str("\n  ]\n}\n");
@@ -143,15 +144,16 @@ impl Report {
     ///
     /// Returns a message describing the first malformed construct.
     pub fn from_json(src: &str) -> Result<Report, String> {
-        let value = json::parse(src)?;
-        let obj = value.as_object().ok_or("top level is not an object")?;
+        let value = json::parse(src).map_err(|e| e.to_string())?;
+        value.as_object().ok_or("top level is not an object")?;
+        let as_u32 = |v: &Value| v.as_u64().and_then(|n| u32::try_from(n).ok());
         let mut report = Report::default();
-        let findings = obj
+        let findings = value
             .get("findings")
             .and_then(Value::as_array)
             .ok_or("missing `findings` array")?;
         for f in findings {
-            let f = f.as_object().ok_or("finding is not an object")?;
+            f.as_object().ok_or("finding is not an object")?;
             let rule = match f.get("rule") {
                 Some(Value::Null) | None => None,
                 Some(Value::Str(s)) => {
@@ -172,7 +174,7 @@ impl Report {
                     .and_then(Value::as_str)
                     .ok_or("finding without `file`")?
                     .to_string(),
-                line: f.get("line").and_then(Value::as_u32).ok_or("bad `line`")?,
+                line: f.get("line").and_then(as_u32).ok_or("bad `line`")?,
                 message: f
                     .get("message")
                     .and_then(Value::as_str)
@@ -180,258 +182,20 @@ impl Report {
                     .to_string(),
             });
         }
-        let p1 = obj
+        let p1 = value
             .get("p1")
             .and_then(Value::as_array)
             .ok_or("missing `p1` array")?;
         for row in p1 {
-            let row = row.as_object().ok_or("p1 row is not an object")?;
+            row.as_object().ok_or("p1 row is not an object")?;
             let file = row
                 .get("file")
                 .and_then(Value::as_str)
                 .ok_or("p1 row without `file`")?;
-            let count = row
-                .get("count")
-                .and_then(Value::as_u32)
-                .ok_or("bad p1 `count`")?;
+            let count = row.get("count").and_then(as_u32).ok_or("bad p1 `count`")?;
             report.p1_counts.insert(file.to_string(), count);
         }
         Ok(report)
-    }
-}
-
-/// Writes `s` as a JSON string literal with full escaping.
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parsed JSON value — only what the report schema needs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number (reports only use non-negative integers).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object.
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_u32(&self) -> Option<u32> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= f64::from(u32::MAX) =>
-            {
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                Some(*n as u32)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A minimal recursive-descent JSON parser (no external deps).
-mod json {
-    use super::Value;
-    use std::collections::BTreeMap;
-
-    pub fn parse(src: &str) -> Result<Value, String> {
-        let b = src.as_bytes();
-        let mut i = 0usize;
-        let v = value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing input at byte {i}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, i);
-        if b.get(*i) == Some(&c) {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, i))
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<Value, String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => {
-                *i += 1;
-                let mut map = BTreeMap::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b'}') {
-                    *i += 1;
-                    return Ok(Value::Obj(map));
-                }
-                loop {
-                    skip_ws(b, i);
-                    let key = match value(b, i)? {
-                        Value::Str(s) => s,
-                        _ => return Err(format!("object key is not a string at byte {i}")),
-                    };
-                    expect(b, i, b':')?;
-                    map.insert(key, value(b, i)?);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b'}') => {
-                            *i += 1;
-                            return Ok(Value::Obj(map));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *i += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, i);
-                if b.get(*i) == Some(&b']') {
-                    *i += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(value(b, i)?);
-                    skip_ws(b, i);
-                    match b.get(*i) {
-                        Some(b',') => *i += 1,
-                        Some(b']') => {
-                            *i += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {i}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, i).map(Value::Str),
-            Some(b't') if b[*i..].starts_with(b"true") => {
-                *i += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*i..].starts_with(b"false") => {
-                *i += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*i..].starts_with(b"null") => {
-                *i += 4;
-                Ok(Value::Null)
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = *i;
-                *i += 1;
-                while *i < b.len()
-                    && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *i += 1;
-                }
-                std::str::from_utf8(&b[start..*i])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(Value::Num)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected input at byte {i}")),
-        }
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<String, String> {
-        *i += 1; // opening quote
-        let mut out = String::new();
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*i + 1..*i + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {i}"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            *i += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {i}")),
-                    }
-                    *i += 1;
-                }
-                c => {
-                    // Copy the full UTF-8 sequence starting here.
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = b
-                        .get(*i..*i + len)
-                        .and_then(|s| std::str::from_utf8(s).ok())
-                        .ok_or_else(|| format!("bad utf-8 at byte {i}"))?;
-                    out.push_str(chunk);
-                    *i += len;
-                }
-            }
-        }
-        Err("unterminated string".into())
     }
 }
 
@@ -473,6 +237,33 @@ mod tests {
         // And an empty report round-trips too.
         let empty = Report::default();
         assert_eq!(Report::from_json(&empty.to_json()).unwrap(), empty);
+    }
+
+    #[test]
+    fn json_artifact_bytes_are_pinned() {
+        assert_eq!(
+            sample().to_json(),
+            r#"{
+  "tool": "mbr-lint",
+  "errors": 1,
+  "warnings": 1,
+  "p1_total": 15,
+  "findings": [
+    {"rule": "D1", "severity": "error", "file": "crates/core/src/compat.rs", "line": 42, "message": "`HashMap` with \"quotes\", a \\ backslash\nand a newline"},
+    {"rule": null, "severity": "warning", "file": "crates/lp/src/solver.rs", "line": 7, "message": "unused suppression"}
+  ],
+  "p1": [
+    {"file": "crates/liberty/src/builder.rs", "count": 3},
+    {"file": "crates/netlist/src/edit.rs", "count": 12}
+  ]
+}
+"#
+        );
+        assert_eq!(
+            Report::default().to_json(),
+            "{\n  \"tool\": \"mbr-lint\",\n  \"errors\": 0,\n  \"warnings\": 0,\n  \"p1_total\": 0,\n  \
+             \"findings\": [\n  ],\n  \"p1\": [\n  ]\n}\n"
+        );
     }
 
     #[test]

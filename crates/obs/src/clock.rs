@@ -15,8 +15,7 @@ pub trait Clock: Send + Sync {
 
 /// The process-wide real clock: nanoseconds since the first observation in
 /// this process (so traces start near zero and `u64` never overflows).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MonotonicClock;
+struct MonotonicClock;
 
 fn anchor() -> &'static Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -47,12 +46,6 @@ impl MockClock {
             now: AtomicU64::new(0),
         }
     }
-
-    /// Advances the clock by `ns` without producing a reading (models work
-    /// happening between observations).
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::Relaxed);
-    }
 }
 
 impl Clock for MockClock {
@@ -66,7 +59,7 @@ thread_local! {
 }
 
 /// The active clock's current reading: the thread-local override installed
-/// by [`with_clock`] if any, else the process-wide [`MonotonicClock`].
+/// by [`with_clock`] if any, else the process-wide monotonic clock.
 pub fn now_ns() -> u64 {
     LOCAL_CLOCK.with(|c| match &*c.borrow() {
         Some(clock) => clock.now_ns(),
@@ -117,13 +110,5 @@ mod tests {
         // not guaranteed, but determinism of the mock must not leak).
         let again = with_clock(Arc::new(MockClock::new(10)), now_ns);
         assert_eq!(again, 0);
-    }
-
-    #[test]
-    fn mock_clock_advance_skips_time() {
-        let mock = MockClock::new(1);
-        assert_eq!(mock.now_ns(), 0);
-        mock.advance(100);
-        assert_eq!(mock.now_ns(), 101);
     }
 }

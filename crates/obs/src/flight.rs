@@ -101,11 +101,6 @@ pub(crate) fn register(recorder: Arc<FlightRecorder>) {
     let _ = FLIGHT.set(recorder);
 }
 
-/// The process-wide flight recorder, if one was installed.
-pub fn flight_recorder() -> Option<Arc<FlightRecorder>> {
-    FLIGHT.get().cloned()
-}
-
 /// Dumps the process-wide flight recorder, if installed, to
 /// `MBR_FLIGHT_RECORDER_OUT` (default `target/flight-recorder.jsonl`) and
 /// reports the dump on stderr. Binaries call this on failure exits; the

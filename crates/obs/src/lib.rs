@@ -18,6 +18,8 @@
 //! * [`trace`] — a line-oriented JSONL emitter/parser/validator
 //!   ([`JsonlSink`], [`parse_trace`], [`validate_trace`]) behind the
 //!   `MBR_TRACE=<path>` convention;
+//! * [`json`] — the workspace's one JSON parser and string escaper, under
+//!   every JSON artifact reader and writer;
 //! * [`summary`] / [`table`] — the shared human-readable reporting path
 //!   (`--report` on the flow binaries);
 //! * [`FlowStage`] / [`StageTimings`] — the span taxonomy of the
@@ -48,6 +50,7 @@ mod catalog;
 mod clock;
 mod flight;
 pub mod hist;
+pub mod json;
 mod pass;
 pub mod perfdiff;
 pub mod profile;
@@ -60,13 +63,13 @@ mod task;
 pub mod trace;
 
 pub use catalog::{Counter, Gauge, Histogram};
-pub use clock::{now_ns, with_clock, Clock, MockClock, MonotonicClock};
-pub use flight::{dump_flight_recorder, flight_recorder, FlightRecorder};
+pub use clock::{now_ns, with_clock, Clock, MockClock};
+pub use flight::{dump_flight_recorder, FlightRecorder};
 pub use hist::HistogramData;
 pub use pass::{current_pass, with_pass};
 pub use sink::{
     counter, flush_installed, gauge, histogram, install, installed, observe, with_sink,
-    CounterTotals, NoopSink, ObsSink, Recorder, Tee,
+    CounterTotals, ObsSink, Recorder, Tee,
 };
 pub use span::Span;
 pub use stage::{FlowStage, StageTimings};

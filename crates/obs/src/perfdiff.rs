@@ -21,6 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::catalog::Histogram;
 use crate::hist::HistogramData;
+use crate::json::{self, Value};
 use crate::summary::Summary;
 
 /// The outcome of one diff: human-readable lines plus severity tallies.
@@ -173,198 +174,6 @@ pub fn diff_traces(a: &Summary, b: &Summary, tolerance_pct: f64) -> DiffReport {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser for the bench/baseline files the
-// workspace itself emits (objects, arrays, strings, numbers, null).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (the subset the perf pipeline emits).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    UInt(u64),
-    Float(f64),
-    Null,
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn consume(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.consume(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".to_string());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("dangling escape".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    }
-                }
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let Some(c) = s.chars().next() else {
-                        return Err("invalid utf-8".to_string());
-                    };
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    let key = self.parse_string()?;
-                    self.consume(b':')?;
-                    fields.push((key, self.parse_value()?));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("bad literal at byte {}", self.pos))
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while let Some(&c) = self.bytes.get(self.pos) {
-                    if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-') {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in number".to_string())?;
-                if let Ok(v) = text.parse::<u64>() {
-                    Ok(Json::UInt(v))
-                } else {
-                    text.parse::<f64>()
-                        .map(Json::Float)
-                        .map_err(|_| format!("bad number '{text}'"))
-                }
-            }
-            _ => Err(format!("expected a value at byte {}", self.pos)),
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Json, String> {
-        let value = self.parse_value()?;
-        if self.peek().is_some() {
-            return Err(format!("trailing content at byte {}", self.pos));
-        }
-        Ok(value)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Bench files.
 // ---------------------------------------------------------------------------
 
@@ -390,28 +199,28 @@ pub struct BenchFile {
 
 /// Parses the bench JSON the testkit suite writer emits.
 pub fn parse_bench(text: &str) -> Result<BenchFile, String> {
-    let doc = JsonParser::new(text).parse_document()?;
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
     let suite = doc
         .get("suite")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .ok_or("missing 'suite'")?
         .to_string();
-    let Some(Json::Arr(results)) = doc.get("results") else {
+    let Some(Value::Arr(results)) = doc.get("results") else {
         return Err("missing 'results' array".to_string());
     };
     let mut out = Vec::with_capacity(results.len());
     for r in results {
         let name = r
             .get("name")
-            .and_then(Json::as_str)
+            .and_then(Value::as_str)
             .ok_or("result missing 'name'")?
             .to_string();
         let median_ns = r
             .get("median_ns")
-            .and_then(Json::as_u64)
+            .and_then(Value::as_u64)
             .ok_or_else(|| format!("result '{name}' missing 'median_ns'"))?;
         let mut counters = BTreeMap::new();
-        if let Some(Json::Obj(fields)) = r.get("counters") {
+        if let Some(Value::Obj(fields)) = r.get("counters") {
             for (k, v) in fields {
                 let v = v
                     .as_u64()
@@ -486,20 +295,20 @@ pub struct Baseline {
 
 /// Parses a `PERF_baseline.json` document.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let doc = JsonParser::new(text).parse_document()?;
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
     let schema = doc
         .get("schema")
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .ok_or("missing 'schema'")?;
     if schema != 1 {
         return Err(format!("unsupported baseline schema {schema}"));
     }
     let source = doc
         .get("source")
-        .and_then(Json::as_str)
+        .and_then(Value::as_str)
         .unwrap_or_default()
         .to_string();
-    let Some(Json::Obj(fields)) = doc.get("counters") else {
+    let Some(Value::Obj(fields)) = doc.get("counters") else {
         return Err("missing 'counters' object".to_string());
     };
     let mut counters = BTreeMap::new();
@@ -515,21 +324,16 @@ pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
 /// Serialises a baseline deterministically (sorted counters, fixed
 /// layout, trailing newline) so regeneration produces minimal diffs.
 pub fn render_baseline(baseline: &Baseline) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"source\": \"");
-    for c in baseline.source.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push_str("\",\n  \"counters\": {");
+    let mut out = String::from("{\n  \"schema\": 1,\n  \"source\": ");
+    json::write_str(&mut out, &baseline.source);
+    out.push_str(",\n  \"counters\": {");
     for (i, (name, value)) in baseline.counters.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\n    \"{name}\": {value}"));
+        out.push_str("\n    ");
+        json::write_str(&mut out, name);
+        out.push_str(&format!(": {value}"));
     }
     if baseline.counters.is_empty() {
         out.push_str("}\n}\n");
@@ -728,12 +532,35 @@ mod tests {
     }
 
     #[test]
+    fn committed_baselines_re_render_byte_identically() {
+        for text in [
+            include_str!("../../../PERF_baseline.json"),
+            include_str!("../../../PERF_baseline_incr.json"),
+        ] {
+            let baseline = parse_baseline(text).expect("committed baseline parses");
+            assert_eq!(render_baseline(&baseline), text);
+        }
+    }
+
+    #[test]
+    fn baseline_escapes_control_characters() {
+        let baseline = Baseline {
+            source: "a\tb\rc\u{1}d \"q\" \\".to_string(),
+            counters: BTreeMap::from([
+                ("lp.simplex.pivots".to_string(), 3),
+                ("odd\"name\t".to_string(), 1),
+            ]),
+        };
+        let text = render_baseline(&baseline);
+        assert!(!text.chars().any(|c| c < ' ' && c != '\n'), "{text:?}");
+        assert_eq!(parse_baseline(&text).expect("parse"), baseline);
+    }
+
+    #[test]
     fn json_parser_rejects_malformed_documents() {
         assert!(parse_baseline("{").is_err());
         assert!(parse_baseline("{\"schema\": 2, \"counters\": {}}").is_err());
         assert!(parse_baseline("{\"schema\": 1}").is_err());
         assert!(parse_bench("{\"suite\": \"x\"}").is_err());
-        assert!(JsonParser::new("{} trailing").parse_document().is_err());
-        assert!(JsonParser::new("[1, 2,]").parse_document().is_err());
     }
 }

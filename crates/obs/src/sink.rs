@@ -24,15 +24,6 @@ pub trait ObsSink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// The default sink: discards everything. Exists so callers can make "no
-/// tracing" explicit; the dispatch never actually routes through it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl ObsSink for NoopSink {
-    fn record(&self, _event: &TraceEvent) {}
-}
-
 /// Fans one event stream out to several sinks (e.g. a JSONL trace file
 /// plus an in-memory recorder for `--report`).
 pub struct Tee {

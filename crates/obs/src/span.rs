@@ -92,14 +92,6 @@ impl Span {
     pub fn id(&self) -> Option<u64> {
         self.live.as_ref().map(|l| l.id)
     }
-
-    /// Nanoseconds since this span was entered (0 when inert).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.live
-            .as_ref()
-            .map(|l| clock::now_ns().saturating_sub(l.start_ns))
-            .unwrap_or(0)
-    }
 }
 
 impl Drop for Span {
@@ -157,7 +149,6 @@ mod tests {
     fn span_without_sink_is_inert() {
         let span = Span::enter("test.inert");
         assert_eq!(span.id(), None);
-        assert_eq!(span.elapsed_ns(), 0);
     }
 
     #[test]

@@ -47,6 +47,7 @@ use std::sync::Mutex;
 
 use crate::catalog::{Counter, Gauge, Histogram};
 use crate::hist::HistogramData;
+use crate::json::{self, Value};
 use crate::sink::ObsSink;
 
 /// One trace event. The enum mirrors the wire shapes above.
@@ -106,24 +107,6 @@ pub enum TraceEvent {
     },
 }
 
-fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn write_opt_u64(out: &mut String, v: Option<u64>) {
     match v {
         Some(v) => out.push_str(&v.to_string()),
@@ -161,7 +144,7 @@ impl TraceEvent {
                 out.push_str(",\"parent\":");
                 write_opt_u64(&mut out, *parent);
                 out.push_str(",\"name\":");
-                write_json_string(&mut out, name);
+                json::write_str(&mut out, name);
                 out.push_str(",\"start_ns\":");
                 out.push_str(&start_ns.to_string());
                 out.push_str(",\"dur_ns\":");
@@ -183,7 +166,7 @@ impl TraceEvent {
                 pass,
             } => {
                 out.push_str("{\"type\":\"counter\",\"name\":");
-                write_json_string(&mut out, name);
+                json::write_str(&mut out, name);
                 out.push_str(",\"value\":");
                 out.push_str(&value.to_string());
                 out.push_str(",\"span\":");
@@ -201,7 +184,7 @@ impl TraceEvent {
                 pass,
             } => {
                 out.push_str("{\"type\":\"gauge\",\"name\":");
-                write_json_string(&mut out, name);
+                json::write_str(&mut out, name);
                 out.push_str(",\"value\":");
                 write_f64(&mut out, *value);
                 out.push_str(",\"span\":");
@@ -219,7 +202,7 @@ impl TraceEvent {
                 pass,
             } => {
                 out.push_str("{\"type\":\"hist\",\"name\":");
-                write_json_string(&mut out, name);
+                json::write_str(&mut out, name);
                 out.push_str(",\"count\":");
                 out.push_str(&data.count().to_string());
                 out.push_str(",\"sum\":");
@@ -283,219 +266,13 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, TraceError> {
     })
 }
 
-/// A minimal single-line JSON object scanner for the flat trace schema:
-/// string, unsigned-integer, float, and `null` values only.
-struct LineParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-#[derive(Debug, PartialEq)]
-enum JsonValue {
-    Str(String),
-    UInt(u64),
-    Float(f64),
-    Null,
-    Arr(Vec<JsonValue>),
-}
-
-impl<'a> LineParser<'a> {
-    fn new(text: &'a str, line: usize) -> Self {
-        LineParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), TraceError> {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            err(self.line, format!("expected '{}'", b as char))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, TraceError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return err(self.line, "unterminated string");
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return err(self.line, "dangling escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex else {
-                                return err(self.line, "bad \\u escape");
-                            };
-                            self.pos += 4;
-                            let Some(c) = char::from_u32(code) else {
-                                return err(self.line, "bad \\u codepoint");
-                            };
-                            out.push(c);
-                        }
-                        other => {
-                            return err(self.line, format!("unknown escape '\\{}'", other as char))
-                        }
-                    }
-                }
-                b => {
-                    // Re-borrow the full char for multi-byte UTF-8.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let rest = &self.bytes[start..];
-                        let s = std::str::from_utf8(rest).map_err(|_| TraceError {
-                            line: self.line,
-                            message: "invalid utf-8 in string".to_string(),
-                        })?;
-                        let c = s.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos = start + c.len_utf8();
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, TraceError> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => return err(self.line, "expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(JsonValue::Null)
-                } else {
-                    err(self.line, "expected null")
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                if b == b'-' {
-                    self.pos += 1;
-                }
-                let mut is_float = false;
-                while let Some(&c) = self.bytes.get(self.pos) {
-                    match c {
-                        b'0'..=b'9' => self.pos += 1,
-                        b'.' | b'e' | b'E' | b'+' | b'-' => {
-                            is_float = true;
-                            self.pos += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-                if is_float || text.starts_with('-') {
-                    match text.parse::<f64>() {
-                        Ok(v) => Ok(JsonValue::Float(v)),
-                        Err(_) => err(self.line, format!("bad number '{text}'")),
-                    }
-                } else {
-                    match text.parse::<u64>() {
-                        Ok(v) => Ok(JsonValue::UInt(v)),
-                        Err(_) => err(self.line, format!("bad integer '{text}'")),
-                    }
-                }
-            }
-            _ => err(self.line, "expected a value"),
-        }
-    }
-
-    /// Parses the whole line as one flat JSON object.
-    fn parse_object(&mut self) -> Result<Vec<(String, JsonValue)>, TraceError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                let value = self.parse_value()?;
-                fields.push((key, value));
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                    }
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return err(self.line, "expected ',' or '}'"),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return err(self.line, "trailing content after object");
-        }
-        Ok(fields)
-    }
-}
-
 struct Fields {
-    fields: Vec<(String, JsonValue)>,
+    fields: Vec<(String, Value)>,
     line: usize,
 }
 
 impl Fields {
-    fn take(&mut self, key: &str) -> Result<JsonValue, TraceError> {
+    fn take(&mut self, key: &str) -> Result<Value, TraceError> {
         match self.fields.iter().position(|(k, _)| k == key) {
             Some(i) => Ok(self.fields.remove(i).1),
             None => err(self.line, format!("missing field '{key}'")),
@@ -504,14 +281,14 @@ impl Fields {
 
     fn take_str(&mut self, key: &str) -> Result<String, TraceError> {
         match self.take(key)? {
-            JsonValue::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s),
             _ => err(self.line, format!("field '{key}' must be a string")),
         }
     }
 
     fn take_u64(&mut self, key: &str) -> Result<u64, TraceError> {
         match self.take(key)? {
-            JsonValue::UInt(v) => Ok(v),
+            Value::UInt(v) => Ok(v),
             _ => err(
                 self.line,
                 format!("field '{key}' must be an unsigned integer"),
@@ -521,8 +298,8 @@ impl Fields {
 
     fn take_opt_u64(&mut self, key: &str) -> Result<Option<u64>, TraceError> {
         match self.take(key)? {
-            JsonValue::UInt(v) => Ok(Some(v)),
-            JsonValue::Null => Ok(None),
+            Value::UInt(v) => Ok(Some(v)),
+            Value::Null => Ok(None),
             _ => err(
                 self.line,
                 format!("field '{key}' must be an unsigned integer or null"),
@@ -542,19 +319,19 @@ impl Fields {
 
     /// Takes a `[[bucket, count], ...]` array (the `hist` bucket list).
     fn take_buckets(&mut self, key: &str) -> Result<Vec<(u32, u64)>, TraceError> {
-        let JsonValue::Arr(items) = self.take(key)? else {
+        let Value::Arr(items) = self.take(key)? else {
             return err(self.line, format!("field '{key}' must be an array"));
         };
         let mut out = Vec::with_capacity(items.len());
         for item in items {
-            let JsonValue::Arr(pair) = item else {
+            let Value::Arr(pair) = item else {
                 return err(
                     self.line,
                     format!("field '{key}' must hold [bucket, count] pairs"),
                 );
             };
             match pair.as_slice() {
-                [JsonValue::UInt(bucket), JsonValue::UInt(n)] if *bucket <= u32::MAX as u64 => {
+                [Value::UInt(bucket), Value::UInt(n)] if *bucket <= u32::MAX as u64 => {
                     out.push((*bucket as u32, *n));
                 }
                 _ => {
@@ -570,8 +347,8 @@ impl Fields {
 
     fn take_f64(&mut self, key: &str) -> Result<f64, TraceError> {
         match self.take(key)? {
-            JsonValue::Float(v) => Ok(v),
-            JsonValue::UInt(v) => Ok(v as f64),
+            Value::Float(v) => Ok(v),
+            Value::UInt(v) => Ok(v as f64),
             _ => err(self.line, format!("field '{key}' must be a number")),
         }
     }
@@ -590,7 +367,11 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
     let mut events = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let fields = LineParser::new(line, lineno).parse_object()?;
+        let fields = match json::parse(line) {
+            Ok(Value::Obj(fields)) => fields,
+            Ok(_) => return err(lineno, "event is not a JSON object"),
+            Err(e) => return err(lineno, e.to_string()),
+        };
         let mut fields = Fields {
             fields,
             line: lineno,
@@ -912,6 +693,19 @@ mod tests {
             lines[2],
             "{\"type\":\"gauge\",\"name\":\"sta.wns_ps\",\"value\":-12.5,\"span\":null}"
         );
+        let quoted = TraceEvent::Span {
+            id: 3,
+            parent: None,
+            name: "a \"q\" \\ b\tc\u{1f}".to_string(),
+            start_ns: 0,
+            dur_ns: 1,
+            task: None,
+            pass: None,
+        };
+        assert_eq!(
+            quoted.to_json(),
+            r#"{"type":"span","id":3,"parent":null,"name":"a \"q\" \\ b\tc\u001f","start_ns":0,"dur_ns":1}"#
+        );
     }
 
     #[test]
@@ -1217,14 +1011,5 @@ mod tests {
         // A child escaping a *retained* parent is still checked.
         let escape = vec![span(2, Some(1), 50, 100, None), span(1, None, 0, 120, None)];
         assert!(validate_trace_truncated(&escape).is_err());
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let mut s = String::new();
-        write_json_string(&mut s, "a\"b\\c\nd\te\u{1}f\u{e9}");
-        let mut p = LineParser::new(&s, 1);
-        let parsed = p.parse_string().expect("parse");
-        assert_eq!(parsed, "a\"b\\c\nd\te\u{1}f\u{e9}");
     }
 }

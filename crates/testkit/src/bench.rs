@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mbr_obs::{with_sink, CounterTotals};
+use mbr_obs::{json, with_sink, CounterTotals};
 
 /// Re-export of [`std::hint::black_box`] so benches have an optimization
 /// barrier without naming `std::hint` everywhere.
@@ -187,20 +187,16 @@ impl Suite {
 
     /// The JSON document `finish` writes.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"suite\": {},\n", json_string(&self.name)));
-        out.push_str("  \"unit\": \"ns\",\n");
-        out.push_str("  \"results\": [\n");
+        let mut out = String::from("{\n  \"suite\": ");
+        json::write_str(&mut out, &self.name);
+        out.push_str(",\n  \"unit\": \"ns\",\n  \"results\": [\n");
         for (i, m) in self.results.iter().enumerate() {
+            out.push_str("    {\"name\": ");
+            json::write_str(&mut out, &m.name);
             out.push_str(&format!(
-                "    {{\"name\": {}, \"samples\": {}, \"median_ns\": {}, \
+                ", \"samples\": {}, \"median_ns\": {}, \
                  \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}",
-                json_string(&m.name),
-                m.samples,
-                m.median_ns,
-                m.mean_ns,
-                m.min_ns,
-                m.max_ns,
+                m.samples, m.median_ns, m.mean_ns, m.min_ns, m.max_ns,
             ));
             if !m.counters.is_empty() {
                 out.push_str(", \"counters\": {");
@@ -208,7 +204,8 @@ impl Suite {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&format!("{}: {value}", json_string(name)));
+                    json::write_str(&mut out, name);
+                    out.push_str(&format!(": {value}"));
                 }
                 out.push('}');
             }
@@ -220,24 +217,6 @@ impl Suite {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn fmt_ns(ns: u128) -> String {
@@ -292,6 +271,42 @@ mod tests {
         assert_eq!(m.counters, vec![(String::from("lp.simplex.pivots"), 7)]);
         let json = suite.to_json();
         assert!(json.contains("\"counters\": {\"lp.simplex.pivots\": 7}"));
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut suite = quick_suite("pin \"suite\"");
+        let measurement = |name: &str, counters: Vec<(String, u64)>| Measurement {
+            name: name.to_string(),
+            samples: 3,
+            min_ns: 10,
+            max_ns: 30,
+            mean_ns: 20,
+            median_ns: 19,
+            counters,
+        };
+        suite.results = vec![
+            measurement(
+                "with\tcounters",
+                vec![
+                    ("lp.simplex.pivots".to_string(), 7),
+                    ("sta.full_analyses".to_string(), 1),
+                ],
+            ),
+            measurement("plain", Vec::new()),
+        ];
+        assert_eq!(
+            suite.to_json(),
+            r#"{
+  "suite": "pin \"suite\"",
+  "unit": "ns",
+  "results": [
+    {"name": "with\tcounters", "samples": 3, "median_ns": 19, "mean_ns": 20, "min_ns": 10, "max_ns": 30, "counters": {"lp.simplex.pivots": 7, "sta.full_analyses": 1}},
+    {"name": "plain", "samples": 3, "median_ns": 19, "mean_ns": 20, "min_ns": 10, "max_ns": 30}
+  ]
+}
+"#
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Fast CI entrypoint: lints, the tier-1 gate, a figure reproduction, the
-# cross-stage invariant check, the pruning differential suites, and a
-# paper-scale (d6) bounded-compose smoke.
+# Fast CI entrypoint: lints, the tier-1 gate, the member crates' tests, a
+# figure reproduction, the cross-stage invariant check, the pruning
+# differential suites, and a paper-scale (d6) bounded-compose smoke.
 #
 # Everything here runs fully offline — the workspace has zero external
 # dependencies (see crates/testkit). Usage: scripts/verify.sh
@@ -26,6 +26,9 @@ MBR_THREADS=1 cargo test -q
 
 echo "==> tier-1: cargo test -q (MBR_THREADS=4, parallel)"
 MBR_THREADS=4 cargo test -q
+
+echo "==> tests: every member crate (the root package ran twice above)"
+cargo test -q --workspace --exclude mbr
 
 echo "==> repro: fig3 weight table"
 cargo run --release -q -p mbr-bench --bin repro -- fig3
