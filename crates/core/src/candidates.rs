@@ -17,7 +17,7 @@ use mbr_obs::{self as obs, Counter, Gauge, Histogram, HistogramData};
 use crate::compat::CompatGraph;
 use crate::stages::assign::Selection;
 use crate::stages::candidates::Enumeration;
-use crate::weight::{weigh, RegisterIndex};
+use crate::weight::{candidate_weight, BlockerIndex, RegisterIndex};
 use crate::ComposerOptions;
 
 /// A valid candidate MBR: a clique of compatible registers plus its
@@ -93,22 +93,21 @@ pub fn enumerate_candidates(
         options,
     };
     // Each partition enumerates independently against the shared read-only
-    // context; workers return their visit counts and the main thread
+    // context; workers return their work counts and the main thread
     // flushes the counters once, so the trace is identical at every thread
     // count (results arrive in partition order by `par_map`'s contract).
-    let results: Vec<(CandidateSet, u64, u64)> =
+    let results: Vec<(CandidateSet, PartitionWork)> =
         mbr_par::par_map(options.threads, &partitions, |_, part: &Vec<usize>| {
-            let mut visited = 0u64;
-            let mut filtered = 0u64;
-            let set = enumerate_partition(&ctx, part, &mut visited, &mut filtered);
-            (set, visited, filtered)
+            enumerate_partition(&ctx, part)
         });
-    let visited_total: u64 = results.iter().map(|(_, v, _)| v).sum();
-    let filtered_total: u64 = results.iter().map(|(_, _, f)| f).sum();
-    let sets: Vec<CandidateSet> = results.into_iter().map(|(set, _, _)| set).collect();
+    let mut work = PartitionWork::default();
+    let mut sets: Vec<CandidateSet> = Vec::with_capacity(results.len());
+    for (set, w) in results {
+        work.add(&w);
+        sets.push(set);
+    }
     obs::counter(Counter::CandidatePartitions, partitions.len() as u64);
-    obs::counter(Counter::CandidateSubsetsVisited, visited_total);
-    obs::counter(Counter::SetPartCandidatesFiltered, filtered_total);
+    work.flush();
     obs::counter(
         Counter::CandidatesEnumerated,
         sets.iter().map(|s| s.candidates.len() as u64).sum(),
@@ -118,6 +117,32 @@ pub fn enumerate_candidates(
         &candidate_size_hist(&sets),
     );
     sets
+}
+
+/// One partition's enumeration work, summed over partitions and flushed on
+/// the main thread.
+#[derive(Clone, Copy, Debug, Default)]
+struct PartitionWork {
+    /// Sub-clique subsets visited ([`Counter::CandidateSubsetsVisited`]).
+    visited: u64,
+    /// Subsets the pre-filters skipped ([`Counter::SetPartCandidatesFiltered`]).
+    filtered: u64,
+    /// Test polygons built ([`Counter::CandidatePolygons`]).
+    polygons: u64,
+}
+
+impl PartitionWork {
+    fn add(&mut self, other: &PartitionWork) {
+        self.visited += other.visited;
+        self.filtered += other.filtered;
+        self.polygons += other.polygons;
+    }
+
+    fn flush(&self) {
+        obs::counter(Counter::CandidateSubsetsVisited, self.visited);
+        obs::counter(Counter::CandidatePolygons, self.polygons);
+        obs::counter(Counter::SetPartCandidatesFiltered, self.filtered);
+    }
 }
 
 /// The per-partition candidate-count distribution, flushed on the main
@@ -152,18 +177,13 @@ fn common_region(regions: &[Rect], mask: u64) -> Option<Rect> {
     Some(acc)
 }
 
-fn enumerate_partition(
-    ctx: &EnumCtx<'_>,
-    part: &[usize],
-    visited_total: &mut u64,
-    filtered_total: &mut u64,
-) -> CandidateSet {
+fn enumerate_partition(ctx: &EnumCtx<'_>, part: &[usize]) -> (CandidateSet, PartitionWork) {
     let EnumCtx {
         design,
         lib,
         compat,
+        index,
         options,
-        ..
     } = *ctx;
     let bg = BitGraph::from_subgraph(&compat.graph, part);
     let elements: Vec<InstId> = part.iter().map(|&n| compat.regs[n].inst).collect();
@@ -202,6 +222,10 @@ fn enumerate_partition(
         .map(|&n| u32::from(lib.max_width(compat.regs[n].class)))
         .max()
         .unwrap_or(0);
+    // The §3.2 blocker counts, only when weights are placement-aware.
+    let mut blockers = options
+        .use_blocking_weights
+        .then(|| BlockerIndex::build(design, index, &elements, max_bits));
 
     // Membership-only bitmask dedup on the hot subclique walk; the arena
     // set's fixed hashing keeps it off the D1 (HashMap/HashSet) ban list.
@@ -268,22 +292,32 @@ fn enumerate_partition(
                 visited += 1;
                 let under_budget =
                     set.candidates.len() < cap + elements.len() && visited < visit_budget;
-                if mask.count_ones() < 2 || !seen.insert(mask) {
-                    return if under_budget {
-                        SubcliqueStep::Descend
-                    } else {
-                        SubcliqueStep::Stop
-                    };
-                }
-                if let Some((cand, idx)) = validate_candidate(ctx, part, mask, total_bits) {
-                    set.candidates.push(cand);
-                    set.member_idx.push(idx);
-                }
-                if under_budget {
+                let step = if under_budget {
                     SubcliqueStep::Descend
                 } else {
                     SubcliqueStep::Stop
+                };
+                if mask.count_ones() < 2 || !seen.insert(mask) {
+                    return step;
                 }
+                // Blockers inherited from a counted subset already make the
+                // weight ∞, so validation would reject the subset whatever
+                // its other checks say. Skipping it here, after the visit,
+                // budget and `seen` bookkeeping, leaves every counter and
+                // truncation point as it was (DESIGN §11).
+                if blockers
+                    .as_ref()
+                    .is_some_and(|b| b.inherited(mask) >= total_bits as usize)
+                {
+                    return step;
+                }
+                if let Some((cand, idx)) =
+                    validate_candidate(ctx, part, blockers.as_mut(), mask, total_bits)
+                {
+                    set.candidates.push(cand);
+                    set.member_idx.push(idx);
+                }
+                step
             },
         );
         if !completed {
@@ -292,16 +326,24 @@ fn enumerate_partition(
         }
         prior_cliques.push(clique);
     }
-    *visited_total += visited as u64;
-    *filtered_total += filtered;
-    set
+    let work = PartitionWork {
+        visited: visited as u64,
+        filtered,
+        polygons: blockers.map_or(0, |b| b.polygons()),
+    };
+    (set, work)
 }
 
 /// Checks library-width validity, scan-order feasibility, the incomplete
 /// area rule, mapping feasibility and the weight; returns the candidate.
+///
+/// Members are read straight from the mask's bits in ascending local order,
+/// so a rejected subset allocates nothing. `blockers` is `None` when the
+/// weights ignore placement (`use_blocking_weights: false`).
 fn validate_candidate(
     ctx: &EnumCtx<'_>,
     part: &[usize],
+    blockers: Option<&mut BlockerIndex>,
     mask: u64,
     total_bits: u32,
 ) -> Option<(CandidateMbr, Vec<usize>)> {
@@ -309,17 +351,12 @@ fn validate_candidate(
         design,
         lib,
         compat,
-        index,
         options,
+        ..
     } = *ctx;
-    let locals: Vec<usize> = mask_locals(mask);
-    let nodes: Vec<usize> = locals.iter().map(|&l| part[l]).collect();
-    let members: Vec<InstId> = nodes.iter().map(|&n| compat.regs[n].inst).collect();
-    let class = compat.regs[nodes[0]].class;
-    debug_assert!(
-        nodes.iter().all(|&n| compat.regs[n].class == class),
-        "cliques are class-pure"
-    );
+    let regs = || mask_bits(mask).map(|l| &compat.regs[part[l]]);
+    let class = compat.regs[part[mask.trailing_zeros() as usize]].class;
+    debug_assert!(regs().all(|r| r.class == class), "cliques are class-pure");
 
     // Width validity against the library.
     let total_u8 = u8::try_from(total_bits).ok()?;
@@ -334,21 +371,20 @@ fn validate_candidate(
 
     // Scan-order feasibility: ordered-section members must be consecutive
     // for an internal-scan MBR; otherwise a per-bit-scan cell is required.
-    let need_per_bit = match scan_consecutive(design, &members) {
+    let need_per_bit = match scan_consecutive(design, regs().map(|r| r.inst)) {
         ScanOrder::Unordered | ScanOrder::Consecutive => false,
         ScanOrder::Gapped => true,
     };
 
     // Mapping (Section 4.1): the MBR must match the members' minimum drive
     // resistance so timing never degrades.
-    let min_resistance = nodes
-        .iter()
-        .map(|&n| compat.regs[n].drive_resistance)
+    let min_resistance = regs()
+        .map(|r| r.drive_resistance)
         .fold(f64::INFINITY, f64::min);
     let mut cell = lib.select_cell(class, target_width, Some(min_resistance), need_per_bit)?;
 
     // Incomplete MBRs may not blow the area budget (paper: ≤ 5 %).
-    let replaced_area: f64 = nodes.iter().map(|&n| compat.regs[n].area).sum();
+    let replaced_area: f64 = regs().map(|r| r.area).sum();
     if !exact {
         let area = lib.cell(cell).area;
         if area > replaced_area * (1.0 + options.incomplete_area_overhead) {
@@ -375,14 +411,16 @@ fn validate_candidate(
     // Internal-scan cells additionally need the chain endpoints connectable
     // (first SI / last SO); the netlist editor enforces wired-chain
     // consecutiveness at merge time.
-    let weight = weigh(
-        design,
-        index,
-        &members,
-        total_bits,
-        options.use_blocking_weights,
-    )?;
+    let weight = match blockers {
+        Some(blockers) => {
+            candidate_weight(total_bits, blockers.count(mask), mask.count_ones() as usize)?
+        }
+        // Ablation mode: pure 1/b preference, no placement awareness.
+        None => 1.0 / f64::from(total_bits),
+    };
 
+    let locals = mask_locals(mask);
+    let members = locals.iter().map(|&l| compat.regs[part[l]].inst).collect();
     Some((
         CandidateMbr {
             members,
@@ -660,29 +698,24 @@ pub(crate) fn enumerate_incremental(
         index: &index,
         options,
     };
-    let results: Vec<(usize, CandidateSet, u64, u64)> =
+    let results: Vec<(usize, CandidateSet, PartitionWork)> =
         mbr_par::par_map(options.threads, &fresh_work, |_, &(i, part)| {
-            let mut visited = 0u64;
-            let mut filtered = 0u64;
-            let set = enumerate_partition(&ctx, part, &mut visited, &mut filtered);
-            (i, set, visited, filtered)
+            let (set, work) = enumerate_partition(&ctx, part);
+            (i, set, work)
         });
 
     let mut fresh: Vec<(usize, Vec<u64>)> = Vec::with_capacity(results.len());
-    let mut visited_total = 0u64;
-    let mut filtered_total = 0u64;
+    let mut work = PartitionWork::default();
     let mut enumerated_fresh = 0u64;
-    for (i, set, visited, filtered) in results {
-        visited_total += visited;
-        filtered_total += filtered;
+    for (i, set, w) in results {
+        work.add(&w);
         enumerated_fresh += set.candidates.len() as u64;
         fresh.push((i, keys[i].clone()));
         sets[i] = Some(set);
     }
     let hits = (partitions.len() - fresh.len()) as u64;
     obs::counter(Counter::CandidatePartitions, partitions.len() as u64);
-    obs::counter(Counter::CandidateSubsetsVisited, visited_total);
-    obs::counter(Counter::SetPartCandidatesFiltered, filtered_total);
+    work.flush();
     obs::counter(Counter::CandidatesEnumerated, enumerated_fresh);
     obs::counter(Counter::SessionPartitionsReused, hits);
     obs::counter(Counter::SessionPartitionsRecomputed, fresh.len() as u64);
@@ -704,13 +737,20 @@ pub(crate) fn enumerate_incremental(
     }
 }
 
+/// The set bits of `mask`, ascending.
+fn mask_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 fn mask_locals(mask: u64) -> Vec<usize> {
     let mut v = Vec::with_capacity(mask.count_ones() as usize);
-    let mut m = mask;
-    while m != 0 {
-        v.push(m.trailing_zeros() as usize);
-        m &= m - 1;
-    }
+    v.extend(mask_bits(mask));
     v
 }
 
@@ -723,15 +763,22 @@ enum ScanOrder {
     Gapped,
 }
 
-fn scan_consecutive(design: &Design, members: &[InstId]) -> ScanOrder {
-    let mut positions: Vec<u32> = Vec::new();
-    for &m in members {
+/// The scan order of at most 64 members (one partition's bitmask), sorted
+/// on the stack.
+fn scan_consecutive(design: &Design, members: impl Iterator<Item = InstId>) -> ScanOrder {
+    let mut positions = [0u32; 64];
+    let mut len = 0;
+    for m in members {
         let scan = design.inst(m).register_attrs().expect("register").scan;
         match scan.and_then(|s| s.section) {
-            Some((_, pos)) => positions.push(pos),
+            Some((_, pos)) => {
+                positions[len] = pos;
+                len += 1;
+            }
             None => return ScanOrder::Unordered, // edges guarantee uniformity
         }
     }
+    let positions = &mut positions[..len];
     positions.sort_unstable();
     let consecutive = positions.windows(2).all(|w| w[1] == w[0] + 1);
     if consecutive {
@@ -821,6 +868,30 @@ mod tests {
                 .any(|c| c.weight == 4.0),
             "one-blocker pairs weigh 2·2¹"
         );
+    }
+
+    #[test]
+    fn ablation_mode_ignores_blockers() {
+        // The collinear layout of `four_free_flops_yield_all_library_width_subsets`,
+        // with placement-aware weights off: the r0–r3 pair is no longer
+        // dropped as blocked, and no candidate carries the b·2ⁿ penalty.
+        let (d, lib, _) = setup(4, 2_000);
+        let opts = ComposerOptions {
+            allow_incomplete: false,
+            use_blocking_weights: false,
+            ..ComposerOptions::default()
+        };
+        let sets = candidates_for(&d, &lib, &opts);
+        let set = &sets[0];
+        let pairs = set
+            .candidates
+            .iter()
+            .filter(|c| c.members.len() == 2)
+            .count();
+        assert_eq!(pairs, 6, "all C(4,2) pairs survive");
+        for c in set.candidates.iter().filter(|c| !c.is_singleton()) {
+            assert_eq!(c.weight, 1.0 / f64::from(c.bits), "ablation weighs 1/b");
+        }
     }
 
     #[test]

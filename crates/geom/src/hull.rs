@@ -26,13 +26,42 @@ pub fn convex_hull(points: &[Point]) -> ConvexPolygon {
     let mut pts: Vec<Point> = points.to_vec();
     pts.sort_unstable();
     pts.dedup();
-    if pts.len() <= 2 {
-        return ConvexPolygon { vertices: pts };
-    }
+    let mut vertices = Vec::with_capacity(pts.len() + 1);
+    monotone_chain(&pts, &mut vertices);
+    ConvexPolygon { vertices }
+}
 
-    let mut hull: Vec<Point> = Vec::with_capacity(pts.len() + 1);
+/// Andrew's monotone chain over `sorted` — points in ascending order with
+/// no duplicates — written into `hull`, which is cleared first.
+///
+/// The vertices come out exactly as [`convex_hull`] returns them
+/// (counter-clockwise, no three consecutive collinear, two extremes for a
+/// collinear set), without allocating once `hull` has capacity for
+/// `sorted.len() + 1` points. Hot loops that build many hulls over subsets
+/// of one pre-sorted point set use this instead of [`convex_hull`].
+///
+/// # Examples
+///
+/// ```
+/// use mbr_geom::{monotone_chain, strictly_inside, Point};
+///
+/// let mut hull = Vec::new();
+/// monotone_chain(&[Point::new(0, 0), Point::new(2, 3), Point::new(4, 0)], &mut hull);
+/// assert_eq!(hull, [Point::new(0, 0), Point::new(4, 0), Point::new(2, 3)]);
+/// assert!(strictly_inside(&hull, Point::new(2, 1)));
+/// ```
+pub fn monotone_chain(sorted: &[Point], hull: &mut Vec<Point>) {
+    debug_assert!(
+        sorted.windows(2).all(|w| w[0] < w[1]),
+        "points must be sorted and distinct"
+    );
+    hull.clear();
+    if sorted.len() <= 2 {
+        hull.extend_from_slice(sorted);
+        return;
+    }
     // Lower hull.
-    for &p in &pts {
+    for &p in sorted {
         while hull.len() >= 2 && hull[hull.len() - 2].cross(hull[hull.len() - 1], p) <= 0 {
             hull.pop();
         }
@@ -40,7 +69,7 @@ pub fn convex_hull(points: &[Point]) -> ConvexPolygon {
     }
     // Upper hull.
     let lower_len = hull.len() + 1;
-    for &p in pts.iter().rev().skip(1) {
+    for &p in sorted.iter().rev().skip(1) {
         while hull.len() >= lower_len && hull[hull.len() - 2].cross(hull[hull.len() - 1], p) <= 0 {
             hull.pop();
         }
@@ -49,9 +78,20 @@ pub fn convex_hull(points: &[Point]) -> ConvexPolygon {
     hull.pop(); // last point equals the first
     if hull.len() < 3 {
         // All points collinear: keep the two extremes.
-        hull = vec![pts[0], *pts.last().expect("nonempty")];
+        hull.clear();
+        hull.extend([sorted[0], sorted[sorted.len() - 1]]);
     }
-    ConvexPolygon { vertices: hull }
+}
+
+/// Whether `p` lies strictly inside the convex polygon whose
+/// counter-clockwise `vertices` [`monotone_chain`] produced (boundary
+/// excluded; fewer than three vertices contain nothing strictly).
+pub fn strictly_inside(vertices: &[Point], p: Point) -> bool {
+    let n = vertices.len();
+    if n < 3 {
+        return false;
+    }
+    (0..n).all(|i| vertices[i].cross(vertices[(i + 1) % n], p) > 0)
 }
 
 /// A convex polygon produced by [`convex_hull`], with exact containment tests.
@@ -118,18 +158,7 @@ impl ConvexPolygon {
     /// obstacle, matching the paper's "inside the corresponding test polygon"
     /// wording.
     pub fn contains_strict(&self, p: Point) -> bool {
-        if self.vertices.len() < 3 {
-            return false;
-        }
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            if a.cross(b, p) <= 0 {
-                return false;
-            }
-        }
-        true
+        strictly_inside(&self.vertices, p)
     }
 
     /// Axis-aligned bounding rectangle, or `None` for an empty polygon.

@@ -12,7 +12,9 @@
 //! * [`Point`] — a 2-D integer point with Manhattan metrics,
 //! * [`Rect`] — an axis-aligned rectangle (cell footprints, feasible regions,
 //!   bounding boxes),
-//! * [`convex_hull`] — Andrew's monotone-chain hull over integer points,
+//! * [`convex_hull`] — Andrew's monotone-chain hull over integer points
+//!   ([`monotone_chain`] is the allocation-free core over pre-sorted points,
+//!   [`strictly_inside`] its strict containment test),
 //! * [`ConvexPolygon`] — a hull with exact point-containment queries,
 //! * [`BoundingBox`] — an accumulating bounding box with half-perimeter
 //!   wire-length ([`BoundingBox::hpwl`]) used for net-length estimation.
@@ -40,7 +42,7 @@ mod point;
 mod rect;
 
 pub use bbox::{hpwl, BoundingBox};
-pub use hull::{convex_hull, ConvexPolygon};
+pub use hull::{convex_hull, monotone_chain, strictly_inside, ConvexPolygon};
 pub use point::Point;
 pub use rect::Rect;
 

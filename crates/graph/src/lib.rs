@@ -325,6 +325,16 @@ impl BitGraph {
     /// monotone emptiness test failed) while siblings continue; `Stop`
     /// aborts outright. Returns whether enumeration ran to completion
     /// (`Prune` still counts as completing).
+    ///
+    /// # Visit order
+    ///
+    /// The walk is a pre-order DFS that adds clique members in ascending
+    /// index order, and callers may rely on it: the *parent* of a visited
+    /// subset `S` with `|S| ≥ 2` is `S` minus its highest-index member. The
+    /// parent was visited (and answered `Descend`) before `S`, and it is
+    /// the most recent earlier visit of size `|S| − 1`. Candidate
+    /// enumeration uses this to inherit blocker counts from parent to
+    /// child.
     pub fn for_each_subclique_controlled(
         &self,
         clique: u64,

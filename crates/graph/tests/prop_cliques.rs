@@ -1,7 +1,7 @@
 //! Property tests for clique enumeration against brute-force oracles.
 
 use mbr_geom::Point;
-use mbr_graph::{partition_geometric, BitGraph, UnGraph};
+use mbr_graph::{partition_geometric, BitGraph, SubcliqueStep, UnGraph};
 use mbr_test::check::{any_u64, Gen};
 use mbr_test::{prop_assert, prop_assert_eq, props};
 
@@ -99,6 +99,39 @@ props! {
                 }
             }
             prop_assert_eq!(seen, expect);
+        }
+    }
+
+    /// The documented visit order: a visited subset's parent (the subset
+    /// minus its highest-index member) is the most recent earlier visit of
+    /// one size less, under any mix of `Descend` and `Prune` verdicts.
+    fn subclique_parent_is_the_latest_visit_one_size_down(
+        g in arb_graph(),
+        budget in 1u32..8,
+        prune_seed in any_u64(),
+    ) {
+        let nodes: Vec<usize> = (0..g.len()).collect();
+        let bg = BitGraph::from_subgraph(&g, &nodes);
+        let bits: Vec<u32> = (0..g.len()).map(|i| 1 + (i as u32 % 2)).collect();
+        for clique in bg.maximal_cliques() {
+            // latest[k]: the most recent visit of size k.
+            let mut latest = [0u64; 65];
+            let mut ok = true;
+            bg.for_each_subclique_controlled(clique, &bits, budget, &mut |mask, _, _| {
+                let size = mask.count_ones() as usize;
+                if size >= 2 {
+                    let parent = mask & !(1u64 << (63 - mask.leading_zeros()));
+                    ok &= latest[size - 1] == parent;
+                }
+                latest[size] = mask;
+                // Prune a pseudo-random quarter of the subsets.
+                if mask.wrapping_mul(prune_seed | 1).rotate_left(17) % 4 == 0 {
+                    SubcliqueStep::Prune
+                } else {
+                    SubcliqueStep::Descend
+                }
+            });
+            prop_assert!(ok, "a visit's parent was not the latest visit one size down");
         }
     }
 

@@ -175,9 +175,12 @@ impl<'a> Lexer<'a> {
                 }
                 let text = std::str::from_utf8(&self.src[start..self.pos])
                     .map_err(|_| self.err("non-ASCII bytes in number"))?;
-                text.parse::<f64>()
-                    .map(Tok::Num)
-                    .map_err(|_| self.err(format!("invalid number `{text}`")))
+                match text.parse::<f64>() {
+                    Ok(x) if x.is_finite() => Ok(Tok::Num(x)),
+                    // `1e999` parses to ±∞; no field of the format takes it.
+                    Ok(_) => Err(self.err(format!("number `{text}` overflows"))),
+                    Err(_) => Err(self.err(format!("invalid number `{text}`"))),
+                }
             }
             b if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = self.pos;
@@ -535,6 +538,18 @@ mod tests {
         let err = Library::parse("library \"x\" {\n  klass DFF { ff }\n}").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("klass"), "message: {}", err.message);
+    }
+
+    #[test]
+    fn overflowing_number_is_an_error_with_location() {
+        for text in ["1e999", "-1e999"] {
+            let err = Library::parse(&format!(
+                "library \"x\" {{\n  class DFF {{ ff }}\n  cell C {{ class DFF; bits 1; area 1;\n    rdrive {text}; tintr 1; cclk 1; cd 1; size 100 100; }}\n}}"
+            ))
+            .unwrap_err();
+            assert_eq!((err.line, err.col), (4, 12), "{err}");
+            assert!(err.message.contains(text), "{}", err.message);
+        }
     }
 
     #[test]

@@ -188,9 +188,12 @@ impl<'a> Lexer<'a> {
                 }
                 let text = std::str::from_utf8(&self.src[start..self.pos])
                     .map_err(|_| self.err("non-ASCII bytes in number"))?;
-                text.parse::<f64>()
-                    .map(Tok::Num)
-                    .map_err(|_| self.err(format!("invalid number `{text}`")))
+                match text.parse::<f64>() {
+                    Ok(x) if x.is_finite() => Ok(Tok::Num(x)),
+                    // `1e999` parses to ±∞; no field of the format takes it.
+                    Ok(_) => Err(self.err(format!("number `{text}` overflows"))),
+                    Err(_) => Err(self.err(format!("invalid number `{text}`"))),
+                }
             }
             b if b.is_ascii_alphabetic() || b == b'_' => {
                 let start = self.pos;
@@ -894,6 +897,22 @@ mod tests {
         let lib = standard_library();
         let err = Design::parse("design d { die 0 0 1e300 99000; }", &lib).unwrap_err();
         assert!(err.message.contains("expected integer"), "{}", err.message);
+    }
+
+    #[test]
+    fn overflowing_number_is_an_error_with_location() {
+        let lib = standard_library();
+        for text in ["1e999", "-1e999"] {
+            let err = Design::parse(
+                &format!(
+                    "design d {{ die 0 0 99000 99000;\n port CLK0 in (0 18000) rdrive {text} net clk0; }}"
+                ),
+                &lib,
+            )
+            .unwrap_err();
+            assert_eq!((err.line, err.col), (2, 32), "{err}");
+            assert!(err.message.contains(text), "{}", err.message);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use mbr_geom::{Point, Rect};
 use mbr_liberty::standard_library;
 use mbr_netlist::{Design, PinKind, RegisterAttrs};
-use mbr_test::check::string_any;
+use mbr_test::check::{any_u64, string_any};
 use mbr_test::{prop_assert, props};
 
 props! {
@@ -26,6 +26,21 @@ props! {
         }
         if let Err(e) = Design::parse(&full[..end], &lib) {
             prop_assert!(e.line >= 1 && e.col >= 1);
+        }
+    }
+
+    /// A numeric literal that overflows to ±∞ anywhere in a valid file is
+    /// rejected with a located error, never accepted or panicked on.
+    fn overflowing_numbers_are_rejected(pick in any_u64(), negative in 0u8..2) {
+        let lib = standard_library();
+        let full = sample_design(&lib).to_design_text(&lib);
+        let spans = numeric_tokens(&full);
+        let span = spans[(pick % spans.len() as u64) as usize].clone();
+        let huge = if negative == 1 { "-1e999" } else { "1e999" };
+        let src = format!("{}{huge}{}", &full[..span.start], &full[span.end..]);
+        match Design::parse(&src, &lib) {
+            Ok(_) => prop_assert!(false, "accepted {huge} at byte {}", span.start),
+            Err(e) => prop_assert!(e.message.contains(huge), "{}", e.message),
         }
     }
 }
@@ -85,4 +100,45 @@ fn writer_and_parser_agree_on_full_attribute_set() {
         assert_eq!(a.fixed, b.fixed);
         assert_eq!(inst.loc, re.inst(other).loc);
     }
+}
+
+/// Byte ranges of the numeric tokens of a valid file, outside comments and
+/// string literals.
+fn numeric_tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'#' => {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            b'"' => {
+                i += 1;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += 1;
+                }
+                i += 1;
+            }
+            b if b.is_ascii_whitespace() || b"{}();".contains(&b) => i += 1,
+            _ => {
+                let start = i;
+                while i < bytes.len()
+                    && !bytes[i].is_ascii_whitespace()
+                    && !b"{}();\"#".contains(&bytes[i])
+                {
+                    i += 1;
+                }
+                let token = &text[start..i];
+                if token.starts_with(|c: char| c.is_ascii_digit() || "+-.".contains(c))
+                    && token.parse::<f64>().is_ok()
+                {
+                    spans.push(start..i);
+                }
+            }
+        }
+    }
+    spans
 }

@@ -81,11 +81,14 @@ pub enum Counter {
     /// Skew sinks whose cached adjustment a session pass replayed after
     /// validating its timing inputs, instead of recomputing the decision.
     SkewSinksSkipped,
+    /// Section 3.2 test polygons (convex hulls) candidate enumeration
+    /// built to count blocking registers.
+    CandidatePolygons,
 }
 
 impl Counter {
     /// Every counter, in catalog order (documentation and validation).
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::SimplexPivots,
         Counter::SetPartSolves,
         Counter::SetPartNodesExplored,
@@ -114,6 +117,7 @@ impl Counter {
         Counter::SetPartLpBoundCuts,
         Counter::LegalizeRowsSkipped,
         Counter::SkewSinksSkipped,
+        Counter::CandidatePolygons,
     ];
 
     /// The stable dotted name used in traces and bench JSON.
@@ -147,6 +151,7 @@ impl Counter {
             Counter::SetPartLpBoundCuts => "lp.setpart.lp_bound_cuts",
             Counter::LegalizeRowsSkipped => "place.legalize.rows_skipped",
             Counter::SkewSinksSkipped => "cts.skew.sinks_skipped",
+            Counter::CandidatePolygons => "core.candidates.polygons",
         }
     }
 

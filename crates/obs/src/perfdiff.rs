@@ -220,13 +220,18 @@ pub fn parse_bench(text: &str) -> Result<BenchFile, String> {
             .and_then(Value::as_u64)
             .ok_or_else(|| format!("result '{name}' missing 'median_ns'"))?;
         let mut counters = BTreeMap::new();
-        if let Some(Value::Obj(fields)) = r.get("counters") {
-            for (k, v) in fields {
-                let v = v
-                    .as_u64()
-                    .ok_or_else(|| format!("counter '{k}' is not an unsigned integer"))?;
-                counters.insert(k.clone(), v);
+        match r.get("counters") {
+            // The suite writer omits an empty counter map.
+            None => {}
+            Some(Value::Obj(fields)) => {
+                for (k, v) in fields {
+                    let v = v
+                        .as_u64()
+                        .ok_or_else(|| format!("counter '{k}' is not an unsigned integer"))?;
+                    counters.insert(k.clone(), v);
+                }
             }
+            Some(_) => return Err(format!("result '{name}': 'counters' is not an object")),
         }
         out.push(BenchResult {
             name,
@@ -536,6 +541,7 @@ mod tests {
         for text in [
             include_str!("../../../PERF_baseline.json"),
             include_str!("../../../PERF_baseline_incr.json"),
+            include_str!("../../../PERF_baseline_presets.json"),
         ] {
             let baseline = parse_baseline(text).expect("committed baseline parses");
             assert_eq!(render_baseline(&baseline), text);
@@ -562,5 +568,19 @@ mod tests {
         assert!(parse_baseline("{\"schema\": 2, \"counters\": {}}").is_err());
         assert!(parse_baseline("{\"schema\": 1}").is_err());
         assert!(parse_bench("{\"suite\": \"x\"}").is_err());
+    }
+
+    #[test]
+    fn bench_counters_must_be_an_object_when_present() {
+        // Omitted counters are an empty map (the suite writer drops them).
+        let bare = BENCH_A.replace(r#""counters""#, r#""unrelated""#);
+        let parsed = parse_bench(&bare).expect("parse");
+        assert!(parsed.results[0].counters.is_empty());
+        for bad in ["[42]", "42", "null", "\"x\""] {
+            let text = BENCH_A.replace(r#"{"lp.simplex.pivots": 42}"#, bad);
+            let err = parse_bench(&text).expect_err(bad);
+            assert!(err.contains("'counters' is not an object"), "{bad}: {err}");
+            assert!(err.contains("result '"), "{bad}: {err}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Fast CI entrypoint: lints, the tier-1 gate, the member crates' tests, a
 # figure reproduction, the cross-stage invariant check, the pruning
-# differential suites, and a paper-scale (d6) bounded-compose smoke.
+# differential suites, a paper-scale (d6) bounded-compose smoke, and the
+# exact work-counter gates (d1, the d1 session, d1-d5 at default budgets).
 #
 # Everything here runs fully offline — the workspace has zero external
 # dependencies (see crates/testkit). Usage: scripts/verify.sh
@@ -86,5 +87,12 @@ MBR_TRACE=target/trace-session-d1.jsonl cargo run --release -q --bin check -- \
 echo "==> perf: incremental-work gate against PERF_baseline_incr.json"
 cargo run --release -q -p mbr-obs --bin mbr-perfdiff -- \
     --baseline PERF_baseline_incr.json target/trace-session-d1.jsonl
+
+echo "==> check: every preset at default budgets (traced)"
+MBR_TRACE=target/trace-all.jsonl cargo run --release -q --bin check -- all > /dev/null
+
+echo "==> perf: exact-counter gate on d1-d5 against PERF_baseline_presets.json"
+cargo run --release -q -p mbr-obs --bin mbr-perfdiff -- \
+    --baseline PERF_baseline_presets.json target/trace-all.jsonl
 
 echo "verify: OK"
