@@ -521,8 +521,8 @@ pub fn scale() {
 /// worker threads, with the work counters of an observed pass attached to
 /// each measurement in `BENCH_soa.json`. A per-preset counter guard then
 /// asserts the *entire* counter map — `lp.setpart.nodes_explored`
-/// included — is identical at every thread count: the parallel-B&B
-/// ordered-commit protocol and the buffered-observability replay promise
+/// included — is identical at every thread count: per-partition tasks that
+/// collect in input order and the buffered-observability replay promise
 /// thread-invariant work accounting, and this suite is the standing
 /// evidence. Wall-clock scales; the algorithm does not change.
 pub fn soa() {

@@ -108,7 +108,7 @@ impl CompatGraph {
                     if !checked.insert(pair_key(i.min(j), i.max(j))) {
                         continue;
                     }
-                    if compatible(design, &regs[i], &regs[j], options) {
+                    if compatible(design, &regs[i], &regs[j]) {
                         if options.prune_compat_edges && !width_sum_selectable(&regs[i], &regs[j]) {
                             removed += 1;
                         } else {
@@ -350,7 +350,7 @@ pub(crate) fn build_incremental(
                 // applies on the recompute path; the counter reflects pairs
                 // this pass actually re-examined.
                 let has_edge = if recomputed[i] || recomputed[j] {
-                    compatible(design, &regs[i], &regs[j], options)
+                    compatible(design, &regs[i], &regs[j])
                         && if options.prune_compat_edges
                             && !width_sum_selectable(&regs[i], &regs[j])
                         {
@@ -379,16 +379,11 @@ pub(crate) fn build_incremental(
 
 /// Full pairwise compatibility predicate (functional + scan + placement +
 /// timing).
-fn compatible(
-    design: &Design,
-    a: &ComposableRegister,
-    b: &ComposableRegister,
-    options: &ComposerOptions,
-) -> bool {
+fn compatible(design: &Design, a: &ComposableRegister, b: &ComposableRegister) -> bool {
     functionally_compatible(design, a, b)
         && scan_compatible(design, a, b)
         && placement_compatible(a, b)
-        && timing_compatible(a, b, options)
+        && timing_compatible(a, b)
 }
 
 fn functionally_compatible(
@@ -446,11 +441,11 @@ fn width_sum_selectable(a: &ComposableRegister, b: &ComposableRegister) -> bool 
     u32::from(a.width) + u32::from(b.width) <= u32::from(a.max_class_width)
 }
 
-fn timing_compatible(
-    a: &ComposableRegister,
-    b: &ComposableRegister,
-    options: &ComposerOptions,
-) -> bool {
+/// Maximum difference between two registers' D slacks (and separately Q
+/// slacks) for timing compatibility, ps.
+const MAX_SLACK_DIFFERENCE: f64 = 300.0;
+
+fn timing_compatible(a: &ComposableRegister, b: &ComposableRegister) -> bool {
     // Opposite-forces rule: (D+, Q−) never merges with (D−, Q+).
     let polarity = |r: &ComposableRegister| match (r.d_slack, r.q_slack) {
         (Some(d), Some(q)) if d >= 0.0 && q < 0.0 => Some(true),
@@ -464,7 +459,7 @@ fn timing_compatible(
     }
     // Similar slack magnitudes on each side (only when both constrained).
     let similar = |x: Option<f64>, y: Option<f64>| match (x, y) {
-        (Some(x), Some(y)) => (x - y).abs() <= options.max_slack_difference,
+        (Some(x), Some(y)) => (x - y).abs() <= MAX_SLACK_DIFFERENCE,
         _ => true,
     };
     if !similar(a.d_slack, b.d_slack) || !similar(a.q_slack, b.q_slack) {
@@ -649,15 +644,14 @@ mod tests {
             area: 2.0,
             drive_resistance: 6.0,
         };
-        let opts = ComposerOptions::default();
         let pos_d_neg_q = mk(50.0, -20.0);
         let neg_d_pos_q = mk(-20.0, 50.0);
         let both_pos = mk(40.0, 40.0);
-        assert!(!timing_compatible(&pos_d_neg_q, &neg_d_pos_q, &opts));
-        assert!(timing_compatible(&both_pos, &both_pos, &opts));
+        assert!(!timing_compatible(&pos_d_neg_q, &neg_d_pos_q));
+        assert!(timing_compatible(&both_pos, &both_pos));
         // Similar magnitudes required.
-        let far = mk(40.0 + opts.max_slack_difference + 1.0, 40.0);
-        assert!(!timing_compatible(&both_pos, &far, &opts));
+        let far = mk(40.0 + MAX_SLACK_DIFFERENCE + 1.0, 40.0);
+        assert!(!timing_compatible(&both_pos, &far));
         // Disjoint skew windows block merging.
         let mut w1 = mk(100.0, 100.0);
         w1.skew_window = SkewWindow {
@@ -669,7 +663,7 @@ mod tests {
             lo: -100.0,
             hi: -80.0,
         };
-        assert!(!timing_compatible(&w1, &w2, &opts));
+        assert!(!timing_compatible(&w1, &w2));
     }
 
     #[test]

@@ -87,15 +87,17 @@ use mbr_cts::SkewConfig;
 pub struct ComposerOptions {
     /// Partition node bound for the compatibility graph (paper: 30; QoR
     /// degrades below ~20, runtime explodes above without QoR gain).
+    ///
+    /// Valid range `1..=64`: candidate enumeration holds a partition in
+    /// `u64` adjacency masks. Composing with 0 panics in
+    /// [`mbr_graph::partition_geometric`]; above 64, a partition with more
+    /// than 64 registers panics in [`mbr_graph::BitGraph::from_subgraph`].
     pub partition_max_nodes: usize,
     /// Admit incomplete MBRs (some D/Q pairs unconnected).
     pub allow_incomplete: bool,
     /// Maximum area overhead of an incomplete MBR relative to the registers
     /// it replaces (paper experiments: 5 %).
     pub incomplete_area_overhead: f64,
-    /// Maximum difference between two registers' D slacks (and separately Q
-    /// slacks) for timing compatibility, ps.
-    pub max_slack_difference: f64,
     /// Cap on the feasible-region inflation radius, DBU. Slack converts to
     /// distance per the delay model, but incremental composition keeps each
     /// register inside a local placement window regardless of how much slack
@@ -171,7 +173,6 @@ impl Default for ComposerOptions {
             partition_max_nodes: 30,
             allow_incomplete: true,
             incomplete_area_overhead: 0.05,
-            max_slack_difference: 300.0,
             max_region_radius: 15_000,
             use_blocking_weights: true,
             max_candidates_per_partition: 20_000,

@@ -1,8 +1,10 @@
 //! The composition flow as explicit stages over a swappable backend.
 //!
 //! [`run_flow`] is the single driver behind every [`crate::Composer`] entry
-//! point *and* every [`crate::CompositionSession`] pass. Each stage lives in
-//! its own module as an input → output function; the driver owns the
+//! point *and* every [`crate::CompositionSession`] pass. Each stage with
+//! logic of its own lives in its own module as an input → output function;
+//! the rest (from-scratch timing, the compatibility graph, useful skew,
+//! sizing) are single calls into their subsystems. The driver owns the
 //! stage order, the per-stage spans and timings, and the [`mbr_check`]
 //! checkpoints, so the two backends cannot drift apart structurally:
 //!
@@ -24,25 +26,25 @@
 
 pub(crate) mod assign;
 pub(crate) mod candidates;
-pub(crate) mod compat;
 pub(crate) mod legalize;
 pub(crate) mod map_place;
-pub(crate) mod sizing;
-pub(crate) mod skew;
 pub(crate) mod stitch;
 pub(crate) mod timing;
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use mbr_check::{check_netlist, check_partition, Diagnostic, MergeGroup, Paranoia, PartitionCover};
+use mbr_cts::assign_useful_skew_with_replay;
 use mbr_geom::Rect;
 use mbr_liberty::Library;
 use mbr_netlist::{Design, InstId};
 use mbr_obs::{self as obs, Counter, FlowStage, Span, StageTimings};
 use mbr_sta::{DelayModel, Sta};
 
+use crate::compat::{build_incremental, CompatGraph};
 use crate::flow::{ComposeError, ComposeOutcome, StageDiagnostic};
 use crate::session::SessionState;
+use crate::sizing::downsize_mbrs;
 use crate::ComposerOptions;
 
 /// Candidate selection strategy of the assignment stage.
@@ -163,7 +165,7 @@ pub(crate) fn run_flow(
     let sta_storage: Sta;
     let (sta, dirty): (&Sta, Option<Dirty>) = match sta_cache {
         None => {
-            sta_storage = timing::analyze(design, lib, model)?;
+            sta_storage = Sta::new(design, lib, model)?;
             (&sta_storage, None)
         }
         Some(slot) => {
@@ -188,10 +190,15 @@ pub(crate) fn run_flow(
         });
     }
 
-    // 2. Compatibility graph (Section 2).
+    // 2. Compatibility graph (Section 2). Batch passes build it whole;
+    // session passes recompute only dirty registers' entries and the edges
+    // incident to them.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Compat.span_name());
-    let compat = compat::run(design, lib, sta, options, compat_cache, dirty.as_ref());
+    let compat = match (compat_cache, &dirty) {
+        (Some(cache), Some(dirty)) => build_incremental(design, lib, sta, options, cache, dirty),
+        _ => CompatGraph::build(design, lib, sta, options),
+    };
     outcome.composable = compat.regs.len();
     let regions: BTreeMap<InstId, Rect> = compat.regs.iter().map(|r| (r.inst, r.region)).collect();
     drop(span);
@@ -287,18 +294,20 @@ pub(crate) fn run_flow(
     // is always from scratch — identical under both backends.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Timing.span_name());
-    let mut post_sta = timing::analyze(design, lib, model)?;
+    let mut post_sta = Sta::new(design, lib, model)?;
     drop(span);
     timings.add(FlowStage::Timing, obs::now_ns() - t0);
     if options.apply_useful_skew && !new_mbrs.is_empty() {
         let t0 = obs::now_ns();
         let span = Span::enter(FlowStage::Skew.span_name());
-        outcome.skew = Some(skew::run(
+        // The session backend passes its replay cache, so sinks whose
+        // slacks and offsets match the previous pass skip the balance.
+        outcome.skew = Some(assign_useful_skew_with_replay(
             design,
             lib,
             &mut post_sta,
             &new_mbrs,
-            options,
+            &options.skew,
             skew_cache,
         ));
         drop(span);
@@ -307,7 +316,8 @@ pub(crate) fn run_flow(
     if options.apply_sizing {
         let t0 = obs::now_ns();
         let span = Span::enter(FlowStage::Sizing.span_name());
-        outcome.resized = sizing::run(design, lib, &mut post_sta, &new_mbrs, options);
+        outcome.resized =
+            downsize_mbrs(design, lib, &mut post_sta, &new_mbrs, options.sizing_margin);
         drop(span);
         timings.add(FlowStage::Sizing, obs::now_ns() - t0);
     }

@@ -1,10 +1,11 @@
-//! Stage 1 (and 7): static timing analysis.
+//! Stage 1 of a session pass: static timing analysis, refreshed.
 //!
-//! Batch passes analyze from scratch. Session passes refresh the persistent
-//! [`Sta`] with [`Sta::update_after_change`] — proven bitwise-identical to a
-//! from-scratch analysis by the incremental oracle test in `mbr-sta` — and
-//! translate the reported [`mbr_sta::StaDelta`] into the instance-level
-//! [`Dirty`] set the compatibility and candidate stages reuse against.
+//! Batch passes (and stage 7 of every pass) analyze from scratch with
+//! [`Sta::new`]. Session passes refresh the persistent [`Sta`] with
+//! [`Sta::update_after_change`] — proven bitwise-identical to a from-scratch
+//! analysis by the incremental oracle test in `mbr-sta` — and translate the
+//! reported [`mbr_sta::StaDelta`] into the instance-level [`Dirty`] set the
+//! compatibility and candidate stages reuse against.
 
 use std::collections::BTreeSet;
 
@@ -13,11 +14,6 @@ use mbr_netlist::{Design, InstId};
 use mbr_sta::{DelayModel, Sta, StaError};
 
 use super::{Dirty, EcoDirty};
-
-/// From-scratch analysis (stage 1 of a batch pass, stage 7 of every pass).
-pub(crate) fn analyze(design: &Design, lib: &Library, model: DelayModel) -> Result<Sta, StaError> {
-    Sta::new(design, lib, model)
-}
 
 /// Session refresh: update the persistent analyzer to match `design` and
 /// derive the dirty instance set for the downstream caches.

@@ -322,7 +322,7 @@ mod tests {
     #[test]
     fn d2_fires_outside_allowlist() {
         let src = "use std::time::Instant;\nfn f() -> u64 { let t = Instant::now(); t.elapsed().as_nanos() as u64 }\n";
-        let a = run(vec![("crates/bench/src/bin/profile.rs", src)]);
+        let a = run(vec![("crates/bench/src/bin/calibrate.rs", src)]);
         assert_eq!(rule_lines(&a, Rule::D2), [2]);
         let a = run(vec![
             ("crates/obs/src/clock.rs", src),

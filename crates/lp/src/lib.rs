@@ -20,6 +20,8 @@
 //!   partitioning with dominance reduction, a greedy incumbent, and a
 //!   fractional lower bound; this is the production path for the composition
 //!   ILP (partition subproblems are ≤ 30 registers, well within exact reach).
+//!   Element sets are `u64` masks, so an instance holds at most 64 elements;
+//!   a larger one is rejected with [`SetPartitionError::TooManyElements`].
 //!
 //! # Examples
 //!

@@ -28,7 +28,13 @@
 //!   returned selection is bit-identical to the unpruned search (see
 //!   `DESIGN.md` §11 and `tests/differential.rs`);
 //! * **element selection**: branch on the uncovered element with the fewest
-//!   admissible candidates (fail-first).
+//!   candidates (fail-first).
+//!
+//! Element sets are `u64` bitmasks, so an instance holds at most 64
+//! elements; a larger one is rejected with
+//! [`SetPartitionError::TooManyElements`] before any search work. The
+//! composition flow's partitions are bounded by `partition_max_nodes`
+//! (paper: 30), far below that.
 //!
 //! Each solve runs on the calling thread. The composition flow parallelizes
 //! across partitions, which are independent instances, never inside one.
@@ -69,6 +75,12 @@ pub enum SetPartitionError {
         /// The candidate index.
         candidate: usize,
     },
+    /// The instance has more elements than the `u64` coverage masks of the
+    /// search hold (at most 64).
+    TooManyElements {
+        /// The instance's element count.
+        elements: usize,
+    },
 }
 
 impl fmt::Display for SetPartitionError {
@@ -87,6 +99,12 @@ impl fmt::Display for SetPartitionError {
                     "candidate {candidate} has a non-finite or negative weight"
                 )
             }
+            SetPartitionError::TooManyElements { elements } => {
+                write!(
+                    f,
+                    "{elements} elements exceed the solver's bound of {MAX_ELEMENTS}"
+                )
+            }
         }
     }
 }
@@ -103,8 +121,8 @@ pub struct SetPartitionSolution {
     /// Branch-and-bound nodes explored (for diagnostics and the runtime
     /// experiments).
     pub nodes_explored: u64,
-    /// Nodes cut before branching: the fractional lower bound met the
-    /// incumbent, or no admissible candidate covered some element.
+    /// Nodes cut because a lower bound met the incumbent: at node entry, or
+    /// (with the LP bound) by the look-ahead before a child is entered.
     pub nodes_pruned: u64,
     /// Times the search replaced the incumbent with a cheaper cover (the
     /// initial greedy incumbent is not counted).
@@ -144,6 +162,10 @@ pub struct SetPartition {
     candidates: Vec<Candidate>,
     use_lp_bound: bool,
 }
+
+/// Most elements an instance may have: one bit of a `u64` coverage mask
+/// each.
+const MAX_ELEMENTS: usize = u64::BITS as usize;
 
 /// Below this many surviving candidates the search tree is small enough
 /// that a root LP solve costs more than it saves; the relaxation machinery
@@ -193,7 +215,8 @@ impl SetPartition {
     ///
     /// # Errors
     ///
-    /// [`SetPartitionError::Infeasible`] when no exact cover exists, or a
+    /// [`SetPartitionError::Infeasible`] when no exact cover exists,
+    /// [`SetPartitionError::TooManyElements`] above 64 elements, or a
     /// validation error for malformed candidates.
     pub fn solve(&self) -> Result<SetPartitionSolution, SetPartitionError> {
         self.solve_bounded(u64::MAX)
@@ -251,6 +274,11 @@ impl SetPartition {
                 });
             }
         }
+        if self.num_elements > MAX_ELEMENTS {
+            return Err(SetPartitionError::TooManyElements {
+                elements: self.num_elements,
+            });
+        }
         if self.num_elements == 0 {
             return Ok(SetPartitionSolution {
                 selected: Vec::new(),
@@ -304,29 +332,16 @@ impl SetPartition {
             None
         };
 
-        // Composition partitions are <= 30 registers: a bitmask search is
-        // an order of magnitude faster there. Larger instances take the
-        // general path.
-        if self.num_elements <= 64 {
-            let searcher = MaskSearcher::build(
-                &self.candidates,
-                &covers,
-                self.num_elements,
-                max_nodes,
-                self.use_lp_bound,
-                potentials.as_ref(),
-            );
-            return searcher.run().ok_or(SetPartitionError::Infeasible);
-        }
-        let searcher = Searcher {
-            candidates: &self.candidates,
-            covers: &covers,
-            num_elements: self.num_elements,
+        MaskSearcher::build(
+            &self.candidates,
+            &covers,
+            self.num_elements,
             max_nodes,
-            use_lp_bound: self.use_lp_bound,
-            potentials: potentials.as_ref(),
-        };
-        searcher.run().ok_or(SetPartitionError::Infeasible)
+            self.use_lp_bound,
+            potentials.as_ref(),
+        )
+        .run()
+        .ok_or(SetPartitionError::Infeasible)
     }
 }
 
@@ -385,11 +400,11 @@ fn lp_potentials(
     Some(LpPotentials { y, bound })
 }
 
-/// Bitmask-specialized branch-and-bound for instances with at most 64
-/// elements (every composition partition). Element sets are `u64` masks,
-/// the admissible lower bound and the pivot order are precomputed, and each
-/// element's candidate list is pre-sorted by weight, so per-node work is
-/// O(elements + |covers(pivot)|) with single-AND conflict checks.
+/// The branch-and-bound over instances of at most [`MAX_ELEMENTS`]
+/// elements. Element sets are `u64` masks, the admissible lower bound and
+/// the pivot order are precomputed, and each element's candidate list is
+/// pre-sorted by weight, so per-node work is O(elements + |covers(pivot)|)
+/// with single-AND conflict checks.
 struct MaskSearcher {
     /// Candidate masks, parallel to `weights` (original indices retained).
     masks: Vec<u64>,
@@ -639,8 +654,8 @@ impl MaskSearcher {
     }
 }
 
-/// Search-effort counters shared by both branch-and-bound paths; flushed
-/// once per solve through the observability layer.
+/// Search-effort counters of one branch-and-bound run; flushed once per
+/// solve through the observability layer.
 #[derive(Clone, Copy, Debug, Default)]
 struct SearchStats {
     nodes: u64,
@@ -651,245 +666,6 @@ struct SearchStats {
     /// signal that distinguishes a truncated search from one that drained
     /// its tree on exactly the last allowed node.
     budget_hit: bool,
-}
-
-struct Searcher<'a> {
-    candidates: &'a [Candidate],
-    covers: &'a [Vec<usize>],
-    num_elements: usize,
-    max_nodes: u64,
-    use_lp_bound: bool,
-    potentials: Option<&'a LpPotentials>,
-}
-
-struct SearchState {
-    covered: Vec<bool>,
-    n_covered: usize,
-    chosen: Vec<usize>,
-    cost: f64,
-    best: Option<(Vec<usize>, f64)>,
-    stats: SearchStats,
-}
-
-impl<'a> Searcher<'a> {
-    fn run(&self) -> Option<SetPartitionSolution> {
-        let mut state = SearchState {
-            covered: vec![false; self.num_elements],
-            n_covered: 0,
-            chosen: Vec::new(),
-            cost: 0.0,
-            best: None,
-            stats: SearchStats::default(),
-        };
-        // Greedy incumbent: repeatedly take the candidate with the best
-        // weight-per-newly-covered-element ratio that doesn't overlap.
-        if let Some((sel, cost)) = self.greedy() {
-            state.best = Some((sel, cost));
-        }
-        // Root cut, as in the mask path: greedy meeting the certified
-        // relaxation bound closes the search with the reference selection.
-        let skip_dfs = match (self.use_lp_bound, self.potentials, &state.best) {
-            (true, Some(p), Some((_, cost))) => *cost <= p.bound + 1e-9,
-            _ => false,
-        };
-        if skip_dfs {
-            state.stats.lp_cuts += 1;
-        } else {
-            self.dfs(&mut state);
-        }
-        let stats = state.stats;
-        let proven_optimal = !stats.budget_hit;
-        state.best.map(|(selected, cost)| SetPartitionSolution {
-            selected,
-            cost,
-            nodes_explored: stats.nodes,
-            nodes_pruned: stats.pruned,
-            incumbent_improvements: stats.improved,
-            lp_bound_cuts: stats.lp_cuts,
-            proven_optimal,
-        })
-    }
-
-    fn greedy(&self) -> Option<(Vec<usize>, f64)> {
-        let mut covered = vec![false; self.num_elements];
-        let mut n_covered = 0;
-        let mut sel = Vec::new();
-        let mut cost = 0.0;
-        let all: Vec<usize> = {
-            let mut v: Vec<usize> = self.covers.iter().flatten().copied().collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        while n_covered < self.num_elements {
-            let mut best: Option<(usize, f64)> = None;
-            for &i in &all {
-                let cand = &self.candidates[i];
-                if cand.elements.iter().any(|&e| covered[e]) {
-                    continue;
-                }
-                let ratio = cand.weight / cand.elements.len() as f64;
-                if best.is_none_or(|(_, r)| ratio < r) {
-                    best = Some((i, ratio));
-                }
-            }
-            let (i, _) = best?;
-            for &e in &self.candidates[i].elements {
-                covered[e] = true;
-            }
-            n_covered += self.candidates[i].elements.len();
-            cost += self.candidates[i].weight;
-            sel.push(i);
-        }
-        Some((sel, cost))
-    }
-
-    /// Admissible lower bound on completing a partial cover: each uncovered
-    /// element needs some candidate, and a candidate of weight w covering k
-    /// uncovered elements contributes w/k per element.
-    fn lower_bound(&self, covered: &[bool]) -> f64 {
-        let mut lb = 0.0;
-        for e in 0..self.num_elements {
-            if covered[e] {
-                continue;
-            }
-            let mut best = f64::INFINITY;
-            for &i in &self.covers[e] {
-                let cand = &self.candidates[i];
-                if cand.elements.iter().any(|&x| covered[x]) {
-                    continue;
-                }
-                let share = cand.weight / cand.elements.len() as f64;
-                if share < best {
-                    best = share;
-                }
-            }
-            if best.is_infinite() {
-                return f64::INFINITY; // dead end
-            }
-            lb += best;
-        }
-        lb
-    }
-
-    /// LP-dual potential sum over uncovered elements (admissible whenever
-    /// the certificate exists; see [`LpPotentials`]).
-    fn dual_bound(&self, covered: &[bool]) -> f64 {
-        let Some(p) = self.potentials else {
-            return f64::NEG_INFINITY;
-        };
-        (0..self.num_elements)
-            .filter(|&e| !covered[e])
-            .map(|e| p.y[e])
-            .sum()
-    }
-
-    fn dfs(&self, s: &mut SearchState) {
-        if s.stats.nodes >= self.max_nodes {
-            s.stats.budget_hit = true;
-            return;
-        }
-        s.stats.nodes += 1;
-        if s.n_covered == self.num_elements {
-            let better = s
-                .best
-                .as_ref()
-                .is_none_or(|&(_, best_cost)| s.cost < best_cost - 1e-12);
-            if better {
-                s.best = Some((s.chosen.clone(), s.cost));
-                s.stats.improved += 1;
-            }
-            return;
-        }
-        if let Some((_, best_cost)) = s.best {
-            let share_lb = self.lower_bound(&s.covered);
-            let lb = if self.use_lp_bound {
-                share_lb.max(self.dual_bound(&s.covered))
-            } else {
-                share_lb
-            };
-            if s.cost + lb >= best_cost - 1e-12 {
-                if s.cost + share_lb < best_cost - 1e-12 {
-                    s.stats.lp_cuts += 1;
-                }
-                s.stats.pruned += 1;
-                return;
-            }
-        }
-        // Fail-first: branch on the uncovered element with the fewest
-        // admissible candidates.
-        let mut pivot: Option<(usize, usize)> = None;
-        for e in 0..self.num_elements {
-            if s.covered[e] {
-                continue;
-            }
-            let count = self.covers[e]
-                .iter()
-                .filter(|&&i| !self.candidates[i].elements.iter().any(|&x| s.covered[x]))
-                .count();
-            if count == 0 {
-                s.stats.pruned += 1;
-                return; // dead end
-            }
-            if pivot.is_none_or(|(_, c)| count < c) {
-                pivot = Some((e, count));
-            }
-        }
-        let (e, _) = pivot.expect("some element uncovered");
-        // Try cheaper candidates first for earlier incumbent improvements.
-        let mut options: Vec<usize> = self.covers[e]
-            .iter()
-            .copied()
-            .filter(|&i| !self.candidates[i].elements.iter().any(|&x| s.covered[x]))
-            .collect();
-        options.sort_by(|&a, &b| {
-            self.candidates[a]
-                .weight
-                .partial_cmp(&self.candidates[b].weight)
-                .expect("finite weights")
-        });
-        for i in options {
-            let cand = &self.candidates[i];
-            for &x in &cand.elements {
-                s.covered[x] = true;
-            }
-            s.n_covered += cand.elements.len();
-            s.cost += cand.weight;
-
-            // Look-ahead, as in the mask path: the child's entry test at
-            // generation time, cutting no-op children before they count as
-            // explored nodes. Identical bound and threshold keep the
-            // incumbent sequence — and the selection — unchanged.
-            let cut = self.use_lp_bound
-                && match s.best.as_ref().map(|&(_, c)| c) {
-                    Some(b) => {
-                        let share_lb = self.lower_bound(&s.covered);
-                        let lb = share_lb.max(self.dual_bound(&s.covered));
-                        if s.cost + lb >= b - 1e-12 {
-                            if s.cost + share_lb < b - 1e-12 {
-                                s.stats.lp_cuts += 1;
-                            }
-                            s.stats.pruned += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                };
-            if !cut {
-                s.chosen.push(i);
-                self.dfs(s);
-                s.chosen.pop();
-            }
-
-            s.cost -= cand.weight;
-            s.n_covered -= cand.elements.len();
-            for &x in &cand.elements {
-                s.covered[x] = false;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1160,35 +936,11 @@ mod lp_bound_tests {
 }
 
 #[cfg(test)]
-mod general_path_tests {
+mod size_bound_tests {
     use super::*;
 
-    /// Instances with more than 64 elements take the general (non-bitmask)
-    /// search; verify it on a chain structure with a known optimum.
-    #[test]
-    fn general_path_solves_large_chain_instances() {
-        // Elements 0..100; pairs {2i, 2i+1} at 0.6 beat singletons at 1.0:
-        // optimum = 50 × 0.6 = 30.
-        let n = 100;
-        let mut sp = SetPartition::new(n);
-        for e in 0..n {
-            sp.add_candidate(&[e], 1.0);
-        }
-        for i in 0..n / 2 {
-            sp.add_candidate(&[2 * i, 2 * i + 1], 0.6);
-        }
-        // Distractor overlapping pairs that can never all be used.
-        for i in 0..n - 1 {
-            sp.add_candidate(&[i, i + 1], 0.7);
-        }
-        let sol = sp.solve().expect("feasible");
-        assert!((sol.cost - 30.0).abs() < 1e-9, "cost {}", sol.cost);
-        assert!(sol.proven_optimal);
-        assert_eq!(sol.selected.len(), 50);
-    }
-
-    /// The two search paths agree on a 64-element boundary instance (the
-    /// largest size the mask path accepts).
+    /// A 64-element instance (the largest the coverage masks hold) solves
+    /// exactly.
     #[test]
     fn boundary_instance_solves_exactly() {
         let n = 64;
@@ -1202,5 +954,19 @@ mod general_path_tests {
         let sol = sp.solve().expect("feasible");
         assert!((sol.cost - 16.0 * 0.25).abs() < 1e-9);
         assert_eq!(sol.selected.len(), 16);
+    }
+
+    /// One element past the bound is rejected, not solved.
+    #[test]
+    fn sixty_five_elements_are_too_many() {
+        let n = 65;
+        let mut sp = SetPartition::new(n);
+        for e in 0..n {
+            sp.add_candidate(&[e], 1.0);
+        }
+        assert_eq!(
+            sp.solve(),
+            Err(SetPartitionError::TooManyElements { elements: 65 })
+        );
     }
 }

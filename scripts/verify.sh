@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
-# Fast CI entrypoint: lints, the tier-1 gate, the member crates' tests, a
-# figure reproduction, the cross-stage invariant check, the pruning
-# differential suites, a paper-scale (d6) bounded-compose smoke, and the
-# exact work-counter gates (d1, the d1 session, d1-d5 at default budgets).
+# Fast CI entrypoint: lints, the tier-1 gate, a build of the benchmark, the
+# member crates' tests, a figure reproduction, the cross-stage invariant
+# check, the pruning differential suites, a paper-scale (d6) bounded-compose
+# smoke, and the exact work-counter gates (d1, the d1 session, d1-d5 at
+# default budgets).
 #
 # Everything here runs fully offline — the workspace has zero external
 # dependencies (see crates/testkit). Usage: scripts/verify.sh
@@ -21,6 +22,9 @@ cargo run --release -q --bin mbr-lint
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
+
+echo "==> build: the benchmark (perfbench compiles against the public API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> tier-1: cargo test -q (MBR_THREADS=1, serial)"
 MBR_THREADS=1 cargo test -q

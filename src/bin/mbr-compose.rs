@@ -13,6 +13,12 @@
 //! Set `MBR_TRACE=<path>` to capture a JSONL trace of the run; pass
 //! `--report` for a per-stage timing table plus a span/counter summary.
 //!
+//! Numeric options are checked before any file is read, and a value out of
+//! range exits with the usage code 2: `--period` must be positive and
+//! finite (ps), `--partition-bound` must lie in `1..=64` (a partition is
+//! held in `u64` adjacency masks), and `--region-radius` must not be
+//! negative (DBU).
+//!
 //! With `--eco <file>` the run becomes *incremental*: a
 //! [`mbr::core::CompositionSession`] composes the design once, then the
 //! ECO script (see [`mbr::core::EcoScript`] for the line format) is split
@@ -47,11 +53,18 @@ fn usage() -> ! {
     eprintln!(
         "usage: mbr-compose --lib <file.mbrlib> --design <file.design> [--out <file.design>]\n\
          \x20                 [--period <ps>] [--partition-bound <n>] [--region-radius <dbu>]\n\
+         \x20                 (period > 0 and finite, partition bound in 1..=64, radius >= 0)\n\
          \x20                 [--no-incomplete] [--no-weights] [--no-skew] [--no-sizing]\n\
          \x20                 [--stitch-scan] [--heuristic] [--decompose]\n\
          \x20                 [--eco <file.eco>] [--passes <n>] [--report]"
     );
     std::process::exit(2);
+}
+
+/// Rejects an option value out of its range: prints why, then the usage.
+fn reject(flag: &str, text: &str, expected: &str) -> ! {
+    eprintln!("invalid {flag} `{text}`: expected {expected}");
+    usage()
 }
 
 fn parse_args() -> Args {
@@ -79,15 +92,26 @@ fn parse_args() -> Args {
             "--lib" => args.lib = value("--lib"),
             "--design" => args.design = value("--design"),
             "--out" => args.out = Some(value("--out")),
-            "--period" => args.period = value("--period").parse().unwrap_or_else(|_| usage()),
+            "--period" => {
+                let text = value("--period");
+                args.period = text.parse().unwrap_or_else(|_| usage());
+                if !(args.period.is_finite() && args.period > 0.0) {
+                    reject("--period", &text, "a positive, finite period in ps");
+                }
+            }
             "--partition-bound" => {
-                args.options.partition_max_nodes = value("--partition-bound")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
+                let text = value("--partition-bound");
+                args.options.partition_max_nodes = text.parse().unwrap_or_else(|_| usage());
+                if !(1..=64).contains(&args.options.partition_max_nodes) {
+                    reject("--partition-bound", &text, "a node count in 1..=64");
+                }
             }
             "--region-radius" => {
-                args.options.max_region_radius =
-                    value("--region-radius").parse().unwrap_or_else(|_| usage())
+                let text = value("--region-radius");
+                args.options.max_region_radius = text.parse().unwrap_or_else(|_| usage());
+                if args.options.max_region_radius < 0 {
+                    reject("--region-radius", &text, "a non-negative radius in DBU");
+                }
             }
             "--no-incomplete" => args.options.allow_incomplete = false,
             "--no-weights" => args.options.use_blocking_weights = false,

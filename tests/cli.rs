@@ -97,3 +97,36 @@ fn cli_usage_on_missing_arguments() {
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("usage"));
 }
+
+#[test]
+fn cli_rejects_out_of_range_numbers_before_reading_the_design() {
+    let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/assets");
+    let lib = format!("{assets}/sample.mbrlib");
+    let design = format!("{assets}/sample.design");
+    for (flag, value) in [
+        ("--partition-bound", "0"),
+        ("--partition-bound", "100"),
+        ("--region-radius", "-100000"),
+        ("--period", "nan"),
+        ("--period", "inf"),
+        ("--period", "-100"),
+        ("--period", "0"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_mbr-compose"))
+            .args(["--lib", &lib, "--design", &design, flag, value])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{flag} {value}: stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("invalid {flag} `{value}`")) && stderr.contains("usage"),
+            "{flag} {value}: stderr: {stderr}"
+        );
+        // Nothing was read or composed: the design banner never printed.
+        assert!(output.stdout.is_empty(), "{flag} {value}: stdout not empty");
+    }
+}
