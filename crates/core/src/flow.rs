@@ -27,7 +27,7 @@ use mbr_place::{legalize, LegalizeError, LegalizeReport};
 use mbr_sta::{DelayModel, StaError};
 
 use crate::stages::{self, legalize::infer_grid, Backend, Strategy};
-use crate::ComposerOptions;
+use crate::{ComposerOptions, OptionsError};
 
 /// Why composition failed outright (individual candidate failures are
 /// skipped and counted, not fatal).
@@ -39,6 +39,8 @@ pub enum ComposeError {
     Legalize(LegalizeError),
     /// The assignment ILP was malformed (internal invariant violation).
     Assign(SetPartitionError),
+    /// A [`ComposerOptions`] field is out of range; nothing was composed.
+    Options(OptionsError),
 }
 
 impl fmt::Display for ComposeError {
@@ -47,6 +49,7 @@ impl fmt::Display for ComposeError {
             ComposeError::Sta(e) => write!(f, "timing analysis failed: {e}"),
             ComposeError::Legalize(e) => write!(f, "legalization failed: {e}"),
             ComposeError::Assign(e) => write!(f, "assignment ILP failed: {e}"),
+            ComposeError::Options(e) => write!(f, "invalid options: {e}"),
         }
     }
 }
@@ -57,6 +60,7 @@ impl Error for ComposeError {
             ComposeError::Sta(e) => Some(e),
             ComposeError::Legalize(e) => Some(e),
             ComposeError::Assign(e) => Some(e),
+            ComposeError::Options(e) => Some(e),
         }
     }
 }
@@ -70,6 +74,12 @@ impl From<StaError> for ComposeError {
 impl From<LegalizeError> for ComposeError {
     fn from(e: LegalizeError) -> Self {
         ComposeError::Legalize(e)
+    }
+}
+
+impl From<OptionsError> for ComposeError {
+    fn from(e: OptionsError) -> Self {
+        ComposeError::Options(e)
     }
 }
 

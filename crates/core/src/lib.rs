@@ -78,6 +78,9 @@ pub use stats::CandidateStats;
 // knob and the diagnostic type its outcome carries.
 pub use mbr_check::{Diagnostic, Paranoia};
 
+use std::error::Error;
+use std::fmt;
+
 use mbr_cts::SkewConfig;
 
 /// Tuning knobs of the composition flow. `Default` matches the paper's
@@ -88,10 +91,8 @@ pub struct ComposerOptions {
     /// Partition node bound for the compatibility graph (paper: 30; QoR
     /// degrades below ~20, runtime explodes above without QoR gain).
     ///
-    /// Valid range `1..=64`: candidate enumeration holds a partition in
-    /// `u64` adjacency masks. Composing with 0 panics in
-    /// [`mbr_graph::partition_geometric`]; above 64, a partition with more
-    /// than 64 registers panics in [`mbr_graph::BitGraph::from_subgraph`].
+    /// Valid range `1..=64` ([`ComposerOptions::validate`]): candidate
+    /// enumeration holds a partition in `u64` adjacency masks.
     pub partition_max_nodes: usize,
     /// Admit incomplete MBRs (some D/Q pairs unconnected).
     pub allow_incomplete: bool,
@@ -102,7 +103,8 @@ pub struct ComposerOptions {
     /// distance per the delay model, but incremental composition keeps each
     /// register inside a local placement window regardless of how much slack
     /// it has — large windows would make post-merge legalization and the
-    /// slack estimates themselves unreliable.
+    /// slack estimates themselves unreliable. Must not be negative
+    /// ([`ComposerOptions::validate`]).
     pub max_region_radius: i64,
     /// Use the placement-aware blocking weights (off = every candidate
     /// weighs `1/b`, the ablation of Section 3.2's heuristic).
@@ -165,6 +167,55 @@ pub struct ComposerOptions {
     /// Defaults to [`mbr_par::thread_count`] (`MBR_THREADS`, else capped
     /// available parallelism); 1 disables threading entirely.
     pub threads: usize,
+}
+
+/// A [`ComposerOptions`] field outside its valid range.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OptionsError {
+    /// [`ComposerOptions::partition_max_nodes`] outside `1..=64`.
+    PartitionMaxNodes(usize),
+    /// A negative [`ComposerOptions::max_region_radius`].
+    MaxRegionRadius(i64),
+}
+
+impl fmt::Display for OptionsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OptionsError::PartitionMaxNodes(n) => write!(
+                f,
+                "partition node bound {n} is outside 1..={}",
+                ComposerOptions::MAX_PARTITION_NODES
+            ),
+            OptionsError::MaxRegionRadius(r) => {
+                write!(f, "region radius {r} is negative")
+            }
+        }
+    }
+}
+
+impl Error for OptionsError {}
+
+impl ComposerOptions {
+    /// The largest valid [`ComposerOptions::partition_max_nodes`]:
+    /// candidate enumeration holds a partition in `u64` adjacency masks.
+    const MAX_PARTITION_NODES: usize = 64;
+
+    /// Checks every field with a restricted range. Every composition entry
+    /// point runs this before composing and returns
+    /// [`ComposeError::Options`] instead.
+    ///
+    /// # Errors
+    ///
+    /// The first field found out of range.
+    pub fn validate(&self) -> Result<(), OptionsError> {
+        if !(1..=Self::MAX_PARTITION_NODES).contains(&self.partition_max_nodes) {
+            return Err(OptionsError::PartitionMaxNodes(self.partition_max_nodes));
+        }
+        if self.max_region_radius < 0 {
+            return Err(OptionsError::MaxRegionRadius(self.max_region_radius));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ComposerOptions {

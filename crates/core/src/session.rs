@@ -34,6 +34,7 @@ use mbr_sta::{DelayModel, Sta};
 use crate::candidates::PartitionCache;
 use crate::compat::CompatCache;
 use crate::flow::{ComposeError, ComposeOutcome};
+use crate::stages::map_place::PlacementMemo;
 use crate::stages::{self, Backend, EcoDirty, Strategy};
 use crate::ComposerOptions;
 
@@ -426,6 +427,8 @@ pub(crate) struct SessionState {
     pub(crate) compat: CompatCache,
     /// Content-keyed memo of candidate enumeration and ILP solutions.
     pub(crate) parts: PartitionCache,
+    /// Exact-input memo of the last pass's §4.2 placement corners.
+    pub(crate) placements: PlacementMemo,
     /// The legalization grid (a die/library invariant).
     pub(crate) grid: Option<PlacementGrid>,
     /// Validated per-cell legalization decisions of the last pass: cells

@@ -130,6 +130,7 @@ pub(crate) fn run_flow(
     strategy: Strategy,
     backend: Backend<'_>,
 ) -> Result<ComposeOutcome, ComposeError> {
+    options.validate()?;
     let run_start = obs::now_ns();
     let _flow_span = Span::enter("flow.compose");
     let mut timings = StageTimings::default();
@@ -142,19 +143,28 @@ pub(crate) fn run_flow(
 
     // The session state splits into independently-borrowed caches up
     // front, so the stages below can hold each across the others' borrows.
-    let (sta_cache, compat_cache, mut parts_cache, grid_cache, legalize_cache, skew_cache, eco) =
-        match backend {
-            Backend::Batch => (None, None, None, None, None, None, None),
-            Backend::Session { state, eco } => (
-                Some(&mut state.sta),
-                Some(&mut state.compat),
-                Some(&mut state.parts),
-                Some(&mut state.grid),
-                Some(&mut state.legalize),
-                Some(&mut state.skew),
-                Some(eco),
-            ),
-        };
+    let (
+        sta_cache,
+        compat_cache,
+        mut parts_cache,
+        placement_cache,
+        grid_cache,
+        legalize_cache,
+        skew_cache,
+        eco,
+    ) = match backend {
+        Backend::Batch => (None, None, None, None, None, None, None, None),
+        Backend::Session { state, eco } => (
+            Some(&mut state.sta),
+            Some(&mut state.compat),
+            Some(&mut state.parts),
+            Some(&mut state.placements),
+            Some(&mut state.grid),
+            Some(&mut state.legalize),
+            Some(&mut state.skew),
+            Some(eco),
+        ),
+    };
 
     // 1. Timing analysis on the incoming placement. The batch backend
     // analyzes from scratch; the session backend refreshes its persistent
@@ -265,7 +275,14 @@ pub(crate) fn run_flow(
     // byte-identical outcome at strictly less work.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Mapping.span_name());
-    let new_mbrs = map_place::run(design, lib, &selected.picked, &regions, &mut outcome);
+    let new_mbrs = map_place::run(
+        design,
+        lib,
+        &selected.picked,
+        &regions,
+        &mut outcome,
+        placement_cache,
+    );
     drop(span);
     timings.add(FlowStage::Mapping, obs::now_ns() - t0);
 

@@ -1,9 +1,12 @@
 //! Edge cases of the composition flow: graceful degradation when merges are
-//! vetoed late (wired scan chains) and when nothing is composable at all.
+//! vetoed late (wired scan chains) and when nothing is composable at all,
+//! and out-of-range options rejected as errors before anything composes.
 
-use mbr_core::{Composer, ComposerOptions};
+use mbr_core::{
+    ComposeError, ComposeOutcome, Composer, ComposerOptions, CompositionSession, OptionsError,
+};
 use mbr_geom::{Point, Rect};
-use mbr_liberty::standard_library;
+use mbr_liberty::{standard_library, Library};
 use mbr_netlist::{Design, PinKind, RegisterAttrs, ScanInfo};
 use mbr_sta::DelayModel;
 
@@ -165,4 +168,91 @@ fn skew_and_sizing_toggles_only_affect_their_stages() {
     for (_, inst) in d_off.registers() {
         assert_eq!(inst.register_attrs().unwrap().clock_offset, 0.0);
     }
+}
+
+/// `n` mutually compatible 1-bit registers packed into one small cluster:
+/// at any partition bound above `n` they form a single partition.
+fn cluster(n: i64) -> (Design, Library) {
+    let lib = standard_library();
+    let mut d = Design::new("cluster", die());
+    let clk = d.add_net("clk");
+    let port = d.add_input_port("CLK", Point::new(0, 0), 1.0);
+    d.connect(d.inst(port).pins[0], clk);
+    let cell = lib.cell_by_name("DFF_1X1").unwrap();
+    for i in 0..n {
+        d.add_register(
+            format!("r{i}"),
+            &lib,
+            cell,
+            Point::new(10_000 + 1_000 * (i % 10), 6_000 + 600 * (i / 10)),
+            RegisterAttrs::clocked(clk),
+        );
+    }
+    (d, lib)
+}
+
+/// A batch entry point of [`Composer`].
+type Entry = fn(&Composer, &mut Design, &Library) -> Result<ComposeOutcome, ComposeError>;
+
+/// Every entry point rejects `options` with `expected`, leaving the design
+/// as it was.
+fn assert_rejected(options: ComposerOptions, expected: OptionsError) {
+    let (design, lib) = cluster(80);
+    let text = design.to_design_text(&lib);
+    let composer = Composer::new(options.clone(), DelayModel::default());
+    let entry_points: [(&str, Entry); 3] = [
+        ("compose", Composer::compose),
+        ("compose_heuristic", Composer::compose_heuristic),
+        (
+            "compose_with_decomposition",
+            Composer::compose_with_decomposition,
+        ),
+    ];
+    for (name, entry) in entry_points {
+        let mut d = design.clone();
+        match entry(&composer, &mut d, &lib) {
+            Err(ComposeError::Options(e)) => assert_eq!(e, expected, "{name}"),
+            other => panic!("{name}: expected {expected:?}, got {other:?}"),
+        }
+        assert_eq!(d.to_design_text(&lib), text, "{name} edited the design");
+    }
+    match CompositionSession::open(design, &lib, options, DelayModel::default()) {
+        Err(ComposeError::Options(e)) => assert_eq!(e, expected, "session"),
+        Err(other) => panic!("session: expected {expected:?}, got {other:?}"),
+        Ok(_) => panic!("session: expected {expected:?}, got a session"),
+    }
+}
+
+#[test]
+fn a_zero_partition_bound_is_an_error() {
+    assert_rejected(
+        ComposerOptions {
+            partition_max_nodes: 0,
+            ..ComposerOptions::default()
+        },
+        OptionsError::PartitionMaxNodes(0),
+    );
+}
+
+#[test]
+fn a_partition_bound_above_64_is_an_error() {
+    // 80 compatible registers would form one 80-node partition.
+    assert_rejected(
+        ComposerOptions {
+            partition_max_nodes: 100,
+            ..ComposerOptions::default()
+        },
+        OptionsError::PartitionMaxNodes(100),
+    );
+}
+
+#[test]
+fn a_negative_region_radius_is_an_error() {
+    assert_rejected(
+        ComposerOptions {
+            max_region_radius: -100_000,
+            ..ComposerOptions::default()
+        },
+        OptionsError::MaxRegionRadius(-100_000),
+    );
 }

@@ -468,6 +468,12 @@ impl Design {
             .map(|(i, inst)| (InstId::from_index(i), inst))
     }
 
+    /// Pins ever created, tombstoned instances' included: the length of the
+    /// pin arena [`PinId`]s index. Only structural edits change it.
+    pub fn pin_count(&self) -> usize {
+        self.pins.len()
+    }
+
     /// Live instances.
     pub fn live_insts(&self) -> impl Iterator<Item = (InstId, &Instance)> {
         self.all_insts().filter(|(_, inst)| inst.alive)

@@ -84,11 +84,14 @@ pub enum Counter {
     /// Section 3.2 test polygons (convex hulls) candidate enumeration
     /// built to count blocking registers.
     CandidatePolygons,
+    /// MBR placements whose Section 4.2 corner LP a session pass reused
+    /// from the previous pass (bit-identical inputs) instead of solving.
+    SessionPlacementsReused,
 }
 
 impl Counter {
     /// Every counter, in catalog order (documentation and validation).
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::SimplexPivots,
         Counter::SetPartSolves,
         Counter::SetPartNodesExplored,
@@ -118,6 +121,7 @@ impl Counter {
         Counter::LegalizeRowsSkipped,
         Counter::SkewSinksSkipped,
         Counter::CandidatePolygons,
+        Counter::SessionPlacementsReused,
     ];
 
     /// The stable dotted name used in traces and bench JSON.
@@ -152,6 +156,7 @@ impl Counter {
             Counter::LegalizeRowsSkipped => "place.legalize.rows_skipped",
             Counter::SkewSinksSkipped => "cts.skew.sinks_skipped",
             Counter::CandidatePolygons => "core.candidates.polygons",
+            Counter::SessionPlacementsReused => "core.session.placements_reused",
         }
     }
 
@@ -159,6 +164,29 @@ impl Counter {
     pub fn from_name(name: &str) -> Option<Counter> {
         Counter::ALL.into_iter().find(|c| c.name() == name)
     }
+
+    /// Which way the counter moves when the program gets better. Most
+    /// counters count work done; the reuse and skip counters count work a
+    /// session avoided, so for them more is better.
+    pub(crate) fn better(self) -> Better {
+        match self {
+            Counter::SessionPartitionsReused
+            | Counter::SessionCompatReused
+            | Counter::SessionPlacementsReused
+            | Counter::LegalizeRowsSkipped
+            | Counter::SkewSinksSkipped => Better::Higher,
+            _ => Better::Lower,
+        }
+    }
+}
+
+/// The direction in which a [`Counter`] improves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Better {
+    /// Work done: fewer is better.
+    Lower,
+    /// Work avoided: more is better.
+    Higher,
 }
 
 impl fmt::Display for Counter {

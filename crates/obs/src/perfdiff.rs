@@ -13,13 +13,14 @@
 //!   never failed, because wall-clock noise between CI hosts would make a
 //!   hard gate flaky. Structural span-count differences are flagged too.
 //!
-//! The baseline gate ratchets counters: a counter above its committed
-//! baseline value fails the build; improvements and new counters are
-//! reported with a hint to refresh via `mbr-perfdiff --write-baseline`.
+//! The baseline gate ratchets counters in the direction each one improves
+//! (`Counter::better`): a work counter above its committed baseline, or a
+//! reuse counter below it, fails the build; improvements and new counters
+//! are reported with a hint to refresh via `mbr-perfdiff --write-baseline`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::catalog::Histogram;
+use crate::catalog::{Better, Counter, Histogram};
 use crate::hist::HistogramData;
 use crate::json::{self, Value};
 use crate::summary::Summary;
@@ -348,26 +349,30 @@ pub fn render_baseline(baseline: &Baseline) -> String {
     out
 }
 
-/// Gates current counter totals against the committed baseline: any
-/// counter above its baseline value is a failure (the build gate);
-/// improvements, new counters and vanished counters are reported with a
-/// refresh hint — vanished ones as failures, since losing a counter means
-/// losing regression coverage.
+/// Gates current counter totals against the committed baseline: a counter
+/// that moved against its `Counter::better` direction (a work counter up,
+/// a reuse counter down; names outside the catalog count as work) is a
+/// failure (the build gate); improvements, new counters and vanished
+/// counters are reported with a refresh hint — vanished ones as failures,
+/// since losing a counter means losing regression coverage.
 pub fn diff_against_baseline(baseline: &Baseline, current: &BTreeMap<String, u64>) -> DiffReport {
     let mut report = DiffReport::default();
     let names: BTreeSet<&String> = baseline.counters.keys().chain(current.keys()).collect();
     for name in names {
         match (baseline.counters.get(name), current.get(name)) {
-            (Some(base), Some(now)) if now > base => {
+            (Some(base), Some(now)) if now != base => {
+                let better = Counter::from_name(name).map_or(Better::Lower, Counter::better);
+                let sign = if now > base { '+' } else { '-' };
                 let pct = rel_pct(*base as f64, *now as f64);
-                report.fail(format!(
-                    "counter {name} regressed: baseline {base} -> {now} (+{pct:.1}%)"
-                ));
-            }
-            (Some(base), Some(now)) if now < base => {
-                report.flag(format!(
-                    "counter {name} improved: baseline {base} -> {now}; refresh with --write-baseline"
-                ));
+                if (now > base) == (better == Better::Lower) {
+                    report.fail(format!(
+                        "counter {name} regressed: baseline {base} -> {now} ({sign}{pct:.1}%)"
+                    ));
+                } else {
+                    report.flag(format!(
+                        "counter {name} improved: baseline {base} -> {now}; refresh with --write-baseline"
+                    ));
+                }
             }
             (Some(_), Some(_)) => {}
             (Some(base), None) => {
@@ -534,6 +539,69 @@ mod tests {
             "{}",
             report.render()
         );
+    }
+
+    /// The counters that count work a session avoided.
+    const REUSE: [&str; 5] = [
+        "core.session.partitions_reused",
+        "core.session.compat_reused",
+        "core.session.placements_reused",
+        "place.legalize.rows_skipped",
+        "cts.skew.sinks_skipped",
+    ];
+
+    /// `(failures, flags, text)` of gating `name` at `now` against a
+    /// baseline of 100.
+    fn gate(name: &str, now: u64) -> (usize, usize, String) {
+        let baseline = Baseline {
+            source: "check -- d1".to_string(),
+            counters: BTreeMap::from([(name.to_string(), 100)]),
+        };
+        let report = diff_against_baseline(&baseline, &BTreeMap::from([(name.to_string(), now)]));
+        (report.failures, report.flags, report.render())
+    }
+
+    #[test]
+    fn work_counters_fail_on_a_rise_and_advise_on_a_drop() {
+        // Every other catalog counter counts work, and so does a name the
+        // catalog does not know.
+        let work = Counter::ALL
+            .into_iter()
+            .filter(|c| !REUSE.contains(&c.name()))
+            .inspect(|c| assert_eq!(c.better(), Better::Lower, "{c}"))
+            .map(Counter::name)
+            .chain(["not.in.the.catalog"]);
+        for name in work {
+            let (failures, flags, text) = gate(name, 101);
+            assert_eq!((failures, flags), (1, 0), "{text}");
+            assert!(
+                text.contains("regressed: baseline 100 -> 101 (+1.0%)"),
+                "{text}"
+            );
+            let (failures, flags, text) = gate(name, 99);
+            assert_eq!((failures, flags), (0, 1), "{text}");
+            assert!(text.contains("improved"), "{text}");
+        }
+    }
+
+    #[test]
+    fn reuse_counters_fail_on_a_drop_and_advise_on_a_rise() {
+        for name in REUSE {
+            assert_eq!(
+                Counter::from_name(name).map(Counter::better),
+                Some(Better::Higher),
+                "{name}"
+            );
+            let (failures, flags, text) = gate(name, 40);
+            assert_eq!((failures, flags), (1, 0), "{text}");
+            assert!(
+                text.contains("regressed: baseline 100 -> 40 (-60.0%)"),
+                "{text}"
+            );
+            let (failures, flags, text) = gate(name, 130);
+            assert_eq!((failures, flags), (0, 1), "{text}");
+            assert!(text.contains("improved"), "{text}");
+        }
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! slots in place — the arc *topology* of a non-structural update never
 //! changes, only the delays stored in the arena.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
 use mbr_arena::{Csr, CsrBuilder};
+use mbr_geom::Point;
 use mbr_liberty::Library;
 use mbr_netlist::{Design, InstId, InstKind, PinDir, PinId, PinKind, PortDir};
 use mbr_obs::{self as obs, Counter, Gauge, Histogram};
@@ -79,6 +80,35 @@ pub struct StaDelta {
     pub changed_pins: Vec<PinId>,
 }
 
+/// What a pin's net arcs and load were last computed from: its absolute
+/// position and the bits of its capacitance. A touched pin whose basis
+/// still matches the design cannot have changed anything on its net.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PinBasis {
+    pos: Point,
+    cap_bits: u64,
+}
+
+impl PinBasis {
+    fn of(design: &Design, pin: PinId) -> Self {
+        PinBasis {
+            pos: design.pin_position(pin),
+            cap_bits: design.pin(pin).cap.to_bits(),
+        }
+    }
+}
+
+/// Propagation buffers kept between updates, so an incremental update
+/// allocates nothing proportional to the design. `queued` is all `false`
+/// between propagations: every pin a worklist marks is unmarked when it is
+/// popped, and the worklist always drains.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+    seeds: Vec<usize>,
+}
+
 /// The static timing analyzer: timing graph plus the latest results.
 ///
 /// Build with [`Sta::new`]; read results via [`Sta::report`]. After moving
@@ -96,6 +126,9 @@ pub struct Sta {
     source_arrival: Vec<Option<f64>>,
     /// Fixed required per pin for endpoints (register D, output ports).
     endpoint_required: Vec<Option<f64>>,
+    /// Per pin, what its net's arcs and load were last computed from.
+    basis: Vec<PinBasis>,
+    scratch: Scratch,
     report: TimingReport,
 }
 
@@ -107,17 +140,24 @@ impl Sta {
     /// [`StaError::CombinationalLoop`] if gates form a cycle not broken by
     /// a register.
     pub fn new(design: &Design, lib: &Library, model: DelayModel) -> Result<Self, StaError> {
-        let n = design.all_insts().map(|(_, i)| i.pins.len()).sum::<usize>();
+        let n = design.pin_count();
         let mut sta = Sta {
             model,
             fwd: ArcArena::default(),
             rev: ArcArena::default(),
             source_arrival: vec![None; n],
             endpoint_required: vec![None; n],
+            basis: (0..n)
+                .map(|i| PinBasis::of(design, PinId::from_index(i)))
+                .collect(),
+            scratch: Scratch {
+                queued: vec![false; n],
+                ..Scratch::default()
+            },
             report: TimingReport::empty(n),
         };
         sta.build_arcs(design, lib)?;
-        sta.full_propagate(design);
+        sta.full_propagate();
         obs::counter(Counter::StaFullAnalyses, 1);
         Ok(sta)
     }
@@ -307,23 +347,25 @@ impl Sta {
     // Propagation
     // ------------------------------------------------------------------
 
-    fn full_propagate(&mut self, design: &Design) {
+    fn full_propagate(&mut self) {
         let n = self.pin_count();
         let seeds: Vec<usize> = (0..n).collect();
         obs::counter(Counter::StaFullSeedPins, n as u64);
         let mut changed = Vec::new();
         self.propagate_arrivals(&seeds, &mut changed);
         self.propagate_required(&seeds, &mut changed);
+        // Seeding every pin grew the worklist to the whole design; the
+        // incremental updates it is kept for need a cone's worth.
+        self.scratch.queue.shrink_to_fit();
         self.report.refresh_endpoints(&self.endpoint_required);
-        let _ = design;
     }
 
     /// Recomputes arrivals for (at least) the given seed pins and everything
     /// downstream of a change, by monotone worklist relaxation on the DAG.
     /// Every pin whose arrival actually changed is pushed onto `changed`.
     fn propagate_arrivals(&mut self, seeds: &[usize], changed: &mut Vec<usize>) {
-        let mut queue: VecDeque<usize> = seeds.iter().copied().collect();
-        let mut queued = vec![false; self.pin_count()];
+        let Scratch { queue, queued, .. } = &mut self.scratch;
+        queue.extend(seeds.iter().copied());
         for &s in seeds {
             queued[s] = true;
         }
@@ -360,8 +402,8 @@ impl Sta {
 
     /// Required-time mirror of [`Sta::propagate_arrivals`].
     fn propagate_required(&mut self, seeds: &[usize], changed: &mut Vec<usize>) {
-        let mut queue: VecDeque<usize> = seeds.iter().copied().collect();
-        let mut queued = vec![false; self.pin_count()];
+        let Scratch { queue, queued, .. } = &mut self.scratch;
+        queue.extend(seeds.iter().copied());
         for &s in seeds {
             queued[s] = true;
         }
@@ -389,9 +431,19 @@ impl Sta {
         }
     }
 
-    /// Incremental re-analysis after `touched` instances moved or changed
-    /// clock offsets (no structural netlist edits!). Rebuilds the delays of
-    /// arcs on adjacent nets and re-propagates only the affected cones.
+    /// Incremental re-analysis after `touched` instances moved, were
+    /// resized or changed clock offsets (no structural netlist edits!).
+    ///
+    /// The cost follows what changed, not the design. A touched pin's net
+    /// is refreshed (arc delays, driver load) only when the pin's position
+    /// or capacitance differs, bit for bit, from what the net's arcs were
+    /// last computed from, so a clock-offset edit refreshes no net at all.
+    /// Propagation then re-relaxes only the affected cones, and WNS/TNS are
+    /// re-folded over the endpoint list of the last build. The result is
+    /// bitwise the state [`Sta::new`] computes for the same design.
+    ///
+    /// Every instance whose pins moved or changed capacitance must be in
+    /// `touched`; listing an unchanged instance costs only its own pins.
     ///
     /// After structural edits (merges/splits), rebuild with [`Sta::new`] —
     /// the pin arena has grown.
@@ -406,82 +458,31 @@ impl Sta {
         lib: &Library,
         touched: &[InstId],
     ) -> StaDelta {
-        let n: usize = design.all_insts().map(|(_, i)| i.pins.len()).sum();
         assert_eq!(
-            n,
+            design.pin_count(),
             self.pin_count(),
             "structural edit detected: rebuild Sta with Sta::new"
         );
 
-        let touched_insts: BTreeSet<InstId> = touched.iter().copied().collect();
-        let mut refreshed_nets: BTreeSet<mbr_netlist::NetId> = BTreeSet::new();
+        let mut seeds = std::mem::take(&mut self.scratch.seeds);
+        seeds.clear();
         let mut net_refreshes = 0u64;
-        let mut seeds: Vec<usize> = Vec::new();
         for &inst_id in touched {
             let inst = design.inst(inst_id);
             for &p in &inst.pins {
                 seeds.push(p.index());
-                // Refresh arcs and loads of the adjacent net — once per net,
-                // not once per touched pin on it. A wire arc's delay depends
-                // only on its two endpoint positions and the sink cap, so
-                // when the driver did not move only the arcs to *touched*
-                // sinks change; the driver's load-dependent source arrival
-                // still shifts (HPWL moved), and that reaches the untouched
-                // sinks through relaxation from the seeded driver.
-                if let Some(net) = design.pin(p).net {
-                    if !refreshed_nets.insert(net) {
-                        continue;
-                    }
-                    if design.is_clock_net(net) {
-                        // Ideal clock: no wire arcs, but the driving port's
-                        // load-dependent source arrival still tracks the
-                        // net's HPWL, which this instance's position feeds.
-                        if let Some(driver) = design.net_driver(net) {
-                            self.refresh_driver(design, lib, driver);
-                            seeds.push(driver.index());
-                            net_refreshes += 1;
-                        }
-                        continue;
-                    }
-                    if let Some(driver) = design.net_driver(net) {
-                        let driver_moved = touched_insts.contains(&design.pin(driver).inst);
-                        let dpos = design.pin_position(driver);
-                        // The arc topology of a non-structural update never
-                        // changes, so a moved driver rewrites its whole
-                        // fan-out range in place — the CSR slots were filled
-                        // in net_sinks order, so the cursor walks them 1:1.
-                        let mut cursor = self.fwd.range(driver.index()).start;
-                        for sink in design.net_sinks(net) {
-                            if !driver_moved && !touched_insts.contains(&design.pin(sink).inst) {
-                                continue;
-                            }
-                            let spos = design.pin_position(sink);
-                            let delay = self
-                                .model
-                                .wire_delay(dpos.manhattan(spos), design.pin(sink).cap);
-                            // Update reverse arc in place.
-                            self.rev.set_delay(sink.index(), driver.index(), delay);
-                            if driver_moved {
-                                debug_assert_eq!(
-                                    self.fwd.to[cursor] as usize,
-                                    sink.index(),
-                                    "CSR fan-out order diverged from net_sinks"
-                                );
-                                self.fwd.delay[cursor] = delay;
-                                cursor += 1;
-                            } else {
-                                self.fwd.set_delay(driver.index(), sink.index(), delay);
-                            }
-                            seeds.push(sink.index());
-                        }
-                        seeds.push(driver.index());
-                        // Driver cell arc / source arrival depends on load.
-                        self.refresh_driver(design, lib, driver);
-                        net_refreshes += 1;
-                    }
+                let Some(net) = design.pin(p).net else {
+                    continue;
+                };
+                // A refresh re-records every pin on the net, so a net with
+                // several changed pins is refreshed once.
+                if self.basis[p.index()] != PinBasis::of(design, p) {
+                    self.refresh_net(design, lib, net, &mut seeds);
+                    net_refreshes += 1;
                 }
             }
-            // Clock offsets change launch/capture times.
+            // Clock offsets change launch/capture times, and a resize
+            // changes the launch delay even when no pin moved.
             if let InstKind::Register { cell, attrs, .. } = &inst.kind {
                 let c = lib.cell(*cell);
                 for bit in design.register_bit_pins(inst_id) {
@@ -494,6 +495,14 @@ impl Sta {
                         self.endpoint_required[bit.d.index()] =
                             Some(self.model.clock_period + attrs.clock_offset - c.setup);
                     }
+                    // The summary re-folds the endpoint list of the last
+                    // build; only a touched register's D pin could join or
+                    // leave it, and only by a structural (re)connection.
+                    debug_assert_eq!(
+                        design.pin(bit.d).net.is_some(),
+                        self.report.endpoints().binary_search(&bit.d).is_ok(),
+                        "a non-structural update changed the endpoint set"
+                    );
                 }
             }
         }
@@ -507,7 +516,8 @@ impl Sta {
         let mut changed = Vec::new();
         self.propagate_arrivals(&seeds, &mut changed);
         self.propagate_required(&seeds, &mut changed);
-        self.report.refresh_endpoints(&self.endpoint_required);
+        self.scratch.seeds = seeds;
+        self.report.refresh_summary();
         changed.sort_unstable();
         changed.dedup();
         StaDelta {
@@ -515,8 +525,62 @@ impl Sta {
         }
     }
 
-    /// Refreshes the load-dependent delay of whatever drives `driver`.
-    fn refresh_driver(&mut self, design: &Design, lib: &Library, driver: PinId) {
+    /// Recomputes the arcs and driver load of `net` from the design and
+    /// records every pin on it as the new basis. Pins whose arrival or
+    /// required inputs changed are pushed onto `seeds`.
+    fn refresh_net(
+        &mut self,
+        design: &Design,
+        lib: &Library,
+        net: mbr_netlist::NetId,
+        seeds: &mut Vec<usize>,
+    ) {
+        if let Some(driver) = design.net_driver(net) {
+            // An ideal clock net has no wire arcs, but its driver's
+            // load-dependent source arrival still tracks the net's pins.
+            if !design.is_clock_net(net) {
+                // A wire arc's delay depends only on its two endpoint
+                // positions and the sink cap, so only arcs to changed
+                // sinks move unless the driver itself changed. The arc
+                // topology of a non-structural update never changes, and
+                // the driver's CSR slots were filled in `net_sinks` order,
+                // so they zip 1:1.
+                let driver_changed = self.basis[driver.index()] != PinBasis::of(design, driver);
+                let dpos = design.pin_position(driver);
+                for (slot, sink) in self.fwd.range(driver.index()).zip(design.net_sinks(net)) {
+                    debug_assert_eq!(
+                        self.fwd.to[slot] as usize,
+                        sink.index(),
+                        "CSR fan-out order diverged from net_sinks"
+                    );
+                    if driver_changed || self.basis[sink.index()] != PinBasis::of(design, sink) {
+                        let delay = self.model.wire_delay(
+                            dpos.manhattan(design.pin_position(sink)),
+                            design.pin(sink).cap,
+                        );
+                        self.fwd.delay[slot] = delay;
+                        self.rev.set_delay(sink.index(), driver.index(), delay);
+                        seeds.push(sink.index());
+                    }
+                }
+            }
+            seeds.push(driver.index());
+            self.refresh_driver(design, lib, driver, seeds);
+        }
+        for &p in &design.net(net).pins {
+            self.basis[p.index()] = PinBasis::of(design, p);
+        }
+    }
+
+    /// Refreshes the load-dependent delay of whatever drives `driver`; a
+    /// gate's inputs are pushed onto `seeds`, since their arcs moved.
+    fn refresh_driver(
+        &mut self,
+        design: &Design,
+        lib: &Library,
+        driver: PinId,
+        seeds: &mut Vec<usize>,
+    ) {
         let pin = design.pin(driver);
         let inst = design.inst(pin.inst);
         match (&inst.kind, pin.kind) {
@@ -536,6 +600,7 @@ impl Sta {
                     if matches!(design.pin(p).kind, PinKind::GateIn(_)) {
                         self.fwd.set_delay(p.index(), driver.index(), delay);
                         self.rev.set_delay(driver.index(), p.index(), delay);
+                        seeds.push(p.index());
                     }
                 }
             }

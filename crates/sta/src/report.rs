@@ -69,12 +69,21 @@ impl TimingReport {
         }
     }
 
+    /// Collects the endpoint list from a full build, then folds the summary.
     pub(crate) fn refresh_endpoints(&mut self, endpoint_required: &[Option<f64>]) {
         self.endpoints = endpoint_required
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.map(|_| PinId::from_index(i)))
             .collect();
+        self.refresh_summary();
+    }
+
+    /// Folds WNS, TNS and the failing count over the endpoint list, in list
+    /// order. Full builds and incremental updates run this same fold over
+    /// the same list, so the sums are bit-identical whenever the slacks
+    /// are.
+    pub(crate) fn refresh_summary(&mut self) {
         self.wns = f64::INFINITY;
         self.tns = 0.0;
         self.failing_endpoints = 0;

@@ -1,5 +1,6 @@
-//! Incremental-STA oracle test: random sequences of placement moves and
-//! clock-skew edits on the `d1()` workload must leave
+//! Incremental-STA oracle test: random sequences of placement moves,
+//! clock-skew edits, register resizes, touched-but-unedited instances and
+//! bulk offset updates on the `d1()` workload must leave
 //! [`Sta::update_after_change`] in exactly the state a full re-analysis
 //! produces — *bitwise* the same arrivals, requireds, slacks, TNS, and
 //! failing-endpoint count at every pin. The composition session's
@@ -7,24 +8,123 @@
 //! is `==`, not an epsilon. The reported [`mbr_sta::StaDelta`] must also
 //! name exactly the pins whose values moved.
 
+use std::sync::Arc;
+
 use mbr_geom::Point;
-use mbr_liberty::standard_library;
-use mbr_netlist::InstId;
+use mbr_liberty::{standard_library, CellId, Library};
+use mbr_netlist::{Design, InstId};
+use mbr_obs::{with_sink, CounterTotals};
 use mbr_sta::{DelayModel, Sta};
 use mbr_test::Rng;
 
-/// One randomized edit session: `edits` rounds of moves/skews, checking the
-/// incremental report against a from-scratch analysis after every round.
-fn run_session(seed: u64, rounds: usize, edits_per_round: usize) {
-    let lib = standard_library();
+/// The d1 design, its analyzer and its registers.
+fn d1_setup(lib: &Library) -> (Design, DelayModel, Vec<InstId>) {
     let spec = mbr_workloads::d1();
-    let mut design = spec.generate(&lib);
+    let design = spec.generate(lib);
     let model = DelayModel {
         clock_period: spec.clock_period,
         ..DelayModel::default()
     };
+    let regs = design.registers().map(|(id, _)| id).collect();
+    (design, model, regs)
+}
+
+/// Another cell `reg` may be resized to (same class and width), if any.
+fn resize_target(design: &Design, lib: &Library, reg: InstId, rng: &mut Rng) -> Option<CellId> {
+    let current = design.inst(reg).register_cell()?;
+    let c = lib.cell(current);
+    let options: Vec<CellId> = lib
+        .cells_of(c.class, c.width)
+        .filter(|&id| id != current)
+        .collect();
+    (!options.is_empty()).then(|| options[rng.gen_range(0..options.len())])
+}
+
+/// Sets a random clock offset on `reg`.
+fn skew(design: &mut Design, reg: InstId, rng: &mut Rng) {
+    design
+        .inst_mut(reg)
+        .register_attrs_mut()
+        .expect("registers have attrs")
+        .clock_offset = rng.gen_range(-50.0..50.0);
+}
+
+/// Asserts the incremental analyzer equals a from-scratch one, bitwise.
+fn assert_matches_full(sta: &Sta, design: &Design, lib: &Library, model: DelayModel, at: &str) {
+    let full = Sta::new(design, lib, model).expect("still acyclic");
+    for (_, inst) in design.live_insts() {
+        for &p in &inst.pins {
+            for (what, a, b) in [
+                ("arrival", sta.report().arrival(p), full.report().arrival(p)),
+                (
+                    "required",
+                    sta.report().required(p),
+                    full.report().required(p),
+                ),
+                ("slack", sta.report().slack(p), full.report().slack(p)),
+            ] {
+                match (a, b) {
+                    (Some(x), Some(y)) => assert!(
+                        x.to_bits() == y.to_bits(),
+                        "{at}: {what} mismatch at {p}: incremental {x} vs full {y}"
+                    ),
+                    (None, None) => {}
+                    other => panic!("{at}: {what} presence mismatch at {p}: {other:?}"),
+                }
+            }
+        }
+    }
+    assert!(
+        sta.report().tns.to_bits() == full.report().tns.to_bits(),
+        "{at}: tns drifted: incremental {} vs full {}",
+        sta.report().tns,
+        full.report().tns
+    );
+    assert!(
+        sta.report().wns.to_bits() == full.report().wns.to_bits(),
+        "{at}: wns drifted"
+    );
+    assert_eq!(
+        sta.report().failing_endpoints,
+        full.report().failing_endpoints,
+        "{at}: failing endpoint count drifted"
+    );
+    assert_eq!(
+        sta.report().endpoints(),
+        full.report().endpoints(),
+        "{at}: endpoint list drifted"
+    );
+}
+
+/// Runs one update and checks that its delta names every pin whose arrival
+/// or required time moved.
+fn update_checked(sta: &mut Sta, design: &Design, lib: &Library, touched: &[InstId], at: &str) {
+    let pins: Vec<_> = design
+        .live_insts()
+        .flat_map(|(_, inst)| inst.pins.clone())
+        .collect();
+    let before: Vec<(Option<f64>, Option<f64>)> = pins
+        .iter()
+        .map(|&p| (sta.report().arrival(p), sta.report().required(p)))
+        .collect();
+    let delta = sta.update_after_change(design, lib, touched);
+    for (&p, &(arr, req)) in pins.iter().zip(&before) {
+        if sta.report().arrival(p) != arr || sta.report().required(p) != req {
+            assert!(
+                delta.changed_pins.contains(&p),
+                "{at}: pin {p} changed but is not in the delta"
+            );
+        }
+    }
+}
+
+/// One randomized edit session: `rounds` rounds of `edits_per_round` edits,
+/// checking the incremental report against a from-scratch analysis after
+/// every round.
+fn run_session(seed: u64, rounds: usize, edits_per_round: usize) {
+    let lib = standard_library();
+    let (mut design, model, regs) = d1_setup(&lib);
     let mut sta = Sta::new(&design, &lib, model).expect("d1 is acyclic");
-    let regs: Vec<InstId> = design.registers().map(|(id, _)| id).collect();
     let die = design.die();
     let mut rng = Rng::seed_from_u64(seed);
 
@@ -32,88 +132,38 @@ fn run_session(seed: u64, rounds: usize, edits_per_round: usize) {
         let mut touched = Vec::new();
         for _ in 0..edits_per_round {
             let reg = regs[rng.gen_range(0..regs.len())];
-            if rng.gen_bool(0.5) {
-                // Placement move anywhere on the die.
-                let x = rng.gen_range(die.lo().x..die.hi().x);
-                let y = rng.gen_range(die.lo().y..die.hi().y);
-                design.inst_mut(reg).loc = Point::new(x, y);
-            } else {
-                // Useful-skew edit within a plausible window.
-                let offset = rng.gen_range(-50.0..50.0);
-                design
-                    .inst_mut(reg)
-                    .register_attrs_mut()
-                    .expect("registers have attrs")
-                    .clock_offset = offset;
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    // Placement move anywhere on the die.
+                    let x = rng.gen_range(die.lo().x..die.hi().x);
+                    let y = rng.gen_range(die.lo().y..die.hi().y);
+                    design.inst_mut(reg).loc = Point::new(x, y);
+                }
+                1 => skew(&mut design, reg, &mut rng),
+                2 => {
+                    // Resize: pin capacitances and the launch delay change
+                    // while every pin stays put. Fixed registers refuse.
+                    if let Some(cell) = resize_target(&design, &lib, reg, &mut rng) {
+                        let _ = design.resize_register(reg, &lib, cell);
+                    }
+                }
+                // Touched but not edited.
+                _ => {}
             }
             touched.push(reg);
         }
-        let before: Vec<(Option<f64>, Option<f64>)> = design
-            .live_insts()
-            .flat_map(|(_, inst)| inst.pins.clone())
-            .map(|p| (sta.report().arrival(p), sta.report().required(p)))
-            .collect();
-        let delta = sta.update_after_change(&design, &lib, &touched);
+        let at = format!("seed {seed:#x} round {round}");
+        update_checked(&mut sta, &design, &lib, &touched, &at);
+        assert_matches_full(&sta, &design, &lib, model, &at);
 
-        // The delta names exactly the pins whose arrival or required moved.
-        let moved: Vec<_> = design
-            .live_insts()
-            .flat_map(|(_, inst)| inst.pins.clone())
-            .zip(&before)
-            .filter(|&(p, &(arr, req))| {
-                sta.report().arrival(p) != arr || sta.report().required(p) != req
-            })
-            .map(|(p, _)| p)
-            .collect();
-        for p in &moved {
-            assert!(
-                delta.changed_pins.contains(p),
-                "seed {seed:#x} round {round}: pin {p} changed but is not in the delta"
-            );
+        // The useful-skew rollback: restore many offsets, then one bulk
+        // update over the whole register list.
+        for &reg in regs.iter().step_by(3) {
+            skew(&mut design, reg, &mut rng);
         }
-
-        let full = Sta::new(&design, &lib, model).expect("still acyclic");
-        for (_, inst) in design.live_insts() {
-            for &p in &inst.pins {
-                for (what, a, b) in [
-                    ("arrival", sta.report().arrival(p), full.report().arrival(p)),
-                    (
-                        "required",
-                        sta.report().required(p),
-                        full.report().required(p),
-                    ),
-                    ("slack", sta.report().slack(p), full.report().slack(p)),
-                ] {
-                    match (a, b) {
-                        (Some(x), Some(y)) => assert!(
-                            x == y,
-                            "seed {seed:#x} round {round}: {what} mismatch at {p}: \
-                             incremental {x} vs full {y}"
-                        ),
-                        (None, None) => {}
-                        other => panic!(
-                            "seed {seed:#x} round {round}: {what} presence mismatch \
-                             at {p}: {other:?}"
-                        ),
-                    }
-                }
-            }
-        }
-        assert!(
-            sta.report().tns == full.report().tns,
-            "seed {seed:#x} round {round}: tns drifted: incremental {} vs full {}",
-            sta.report().tns,
-            full.report().tns
-        );
-        assert!(
-            sta.report().wns == full.report().wns,
-            "seed {seed:#x} round {round}: wns drifted"
-        );
-        assert_eq!(
-            sta.report().failing_endpoints,
-            full.report().failing_endpoints,
-            "seed {seed:#x} round {round}: failing endpoint count drifted"
-        );
+        let at = format!("{at} bulk offsets");
+        update_checked(&mut sta, &design, &lib, &regs, &at);
+        assert_matches_full(&sta, &design, &lib, model, &at);
     }
 }
 
@@ -123,4 +173,44 @@ fn incremental_matches_full_reanalysis_over_random_edit_sequences() {
     run_session(0xD1_0001, 4, 1);
     run_session(0xD1_0002, 3, 8);
     run_session(0xD1_0003, 2, 40);
+}
+
+#[test]
+fn offset_only_updates_refresh_no_net() {
+    // A clock offset moves launch and capture times but no pin, so no net's
+    // arcs or load can change: the update must refresh none of them.
+    let lib = standard_library();
+    let (mut design, model, regs) = d1_setup(&lib);
+    let mut sta = Sta::new(&design, &lib, model).expect("d1 is acyclic");
+    let mut rng = Rng::seed_from_u64(0xD1_0004);
+    let touched: Vec<InstId> = regs.iter().copied().step_by(7).collect();
+    for &reg in &touched {
+        skew(&mut design, reg, &mut rng);
+    }
+    let totals = Arc::new(CounterTotals::default());
+    with_sink(totals.clone(), || {
+        sta.update_after_change(&design, &lib, &touched)
+    });
+    let counts = totals.totals();
+    assert_eq!(counts.get("sta.incremental_updates"), Some(&1));
+    assert_eq!(
+        counts.get("sta.incremental.nets_touched"),
+        None,
+        "an offset-only update refreshed nets"
+    );
+    assert_matches_full(&sta, &design, &lib, model, "offset-only update");
+
+    // A move does refresh nets: the moved register's clock, D and Q nets.
+    let reg = touched[0];
+    let loc = design.inst(reg).loc;
+    design.inst_mut(reg).loc = Point::new(loc.x + 1_000, loc.y);
+    let totals = Arc::new(CounterTotals::default());
+    with_sink(totals.clone(), || {
+        sta.update_after_change(&design, &lib, &[reg])
+    });
+    assert!(totals
+        .totals()
+        .get("sta.incremental.nets_touched")
+        .is_some_and(|&n| n > 0));
+    assert_matches_full(&sta, &design, &lib, model, "move");
 }

@@ -330,3 +330,70 @@ fn slack_histogram_partitions_all_endpoints() {
     let (_, _, empty) = sta.report().slack_histogram(0);
     assert!(empty.is_empty());
 }
+
+#[test]
+fn moving_a_non_critical_sink_refreshes_the_driving_gates_input_required() {
+    // src.Q → buffer → {a.D far away, b.D nearby}: `a` sets the buffer
+    // output's required time. Moving `b` off the net's bounding box grows
+    // the buffer's load, so its delay and the required time at its input
+    // change even though the output's required time does not.
+    let lib = standard_library();
+    let mut d = Design::new("fanout", die());
+    let clk = d.add_net("clk");
+    let cell = lib.cell_by_name("DFF_1X1").unwrap();
+    let reg = |d: &mut Design, name: &str, x: i64, y: i64| {
+        d.add_register(
+            name,
+            &lib,
+            cell,
+            Point::new(x, y),
+            RegisterAttrs::clocked(clk),
+        )
+    };
+    let src = reg(&mut d, "src", 1_000, 600);
+    let a = reg(&mut d, "a", 60_000, 600);
+    let b = reg(&mut d, "b", 8_000, 600);
+    let buf_model = d.add_comb_model(CombModel::buffer());
+    let buf = d.add_comb("buf", buf_model, Point::new(5_000, 600));
+    let n_in = d.add_net("n_in");
+    d.connect(d.find_pin(src, PinKind::Q(0)).unwrap(), n_in);
+    d.connect(d.find_pin(buf, PinKind::GateIn(0)).unwrap(), n_in);
+    let n_out = d.add_net("n_out");
+    d.connect(d.find_pin(buf, PinKind::GateOut).unwrap(), n_out);
+    d.connect(d.find_pin(a, PinKind::D(0)).unwrap(), n_out);
+    d.connect(d.find_pin(b, PinKind::D(0)).unwrap(), n_out);
+    let model = DelayModel::default();
+    let mut sta = Sta::new(&d, &lib, model).unwrap();
+    let out = d.find_pin(buf, PinKind::GateOut).unwrap();
+    let input = d.find_pin(buf, PinKind::GateIn(0)).unwrap();
+    let out_required = sta.report().required(out);
+    let in_required = sta.report().required(input);
+
+    d.inst_mut(b).loc = Point::new(8_000, 30_000);
+    sta.update_after_change(&d, &lib, &[b]);
+    let full = Sta::new(&d, &lib, model).unwrap();
+    assert_eq!(
+        full.report().required(out),
+        out_required,
+        "`a` stays critical"
+    );
+    assert_ne!(
+        full.report().required(input),
+        in_required,
+        "the buffer slowed"
+    );
+    for (_, inst) in d.live_insts() {
+        for &p in &inst.pins {
+            assert_eq!(
+                sta.report().arrival(p),
+                full.report().arrival(p),
+                "arrival at {p}"
+            );
+            assert_eq!(
+                sta.report().required(p),
+                full.report().required(p),
+                "required at {p}"
+            );
+        }
+    }
+}

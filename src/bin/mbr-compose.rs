@@ -29,7 +29,9 @@
 
 use std::process::ExitCode;
 
-use mbr::core::{Composer, ComposerOptions, CompositionSession, DesignMetrics, EcoScript};
+use mbr::core::{
+    Composer, ComposerOptions, CompositionSession, DesignMetrics, EcoScript, OptionsError,
+};
 use mbr::cts::CtsConfig;
 use mbr::liberty::Library;
 use mbr::netlist::Design;
@@ -62,8 +64,8 @@ fn usage() -> ! {
 }
 
 /// Rejects an option value out of its range: prints why, then the usage.
-fn reject(flag: &str, text: &str, expected: &str) -> ! {
-    eprintln!("invalid {flag} `{text}`: expected {expected}");
+fn reject(flag: &str, text: &str, why: &str) -> ! {
+    eprintln!("invalid {flag} `{text}`: {why}");
     usage()
 }
 
@@ -96,22 +98,21 @@ fn parse_args() -> Args {
                 let text = value("--period");
                 args.period = text.parse().unwrap_or_else(|_| usage());
                 if !(args.period.is_finite() && args.period > 0.0) {
-                    reject("--period", &text, "a positive, finite period in ps");
+                    reject(
+                        "--period",
+                        &text,
+                        "expected a positive, finite period in ps",
+                    );
                 }
             }
             "--partition-bound" => {
-                let text = value("--partition-bound");
-                args.options.partition_max_nodes = text.parse().unwrap_or_else(|_| usage());
-                if !(1..=64).contains(&args.options.partition_max_nodes) {
-                    reject("--partition-bound", &text, "a node count in 1..=64");
-                }
+                args.options.partition_max_nodes = value("--partition-bound")
+                    .parse()
+                    .unwrap_or_else(|_| usage());
             }
             "--region-radius" => {
-                let text = value("--region-radius");
-                args.options.max_region_radius = text.parse().unwrap_or_else(|_| usage());
-                if args.options.max_region_radius < 0 {
-                    reject("--region-radius", &text, "a non-negative radius in DBU");
-                }
+                args.options.max_region_radius =
+                    value("--region-radius").parse().unwrap_or_else(|_| usage());
             }
             "--no-incomplete" => args.options.allow_incomplete = false,
             "--no-weights" => args.options.use_blocking_weights = false,
@@ -140,6 +141,13 @@ fn parse_args() -> Args {
     if args.passes == 0 {
         eprintln!("--passes must be at least 1");
         usage();
+    }
+    if let Err(e) = args.options.validate() {
+        let (flag, text) = match e {
+            OptionsError::PartitionMaxNodes(n) => ("--partition-bound", n.to_string()),
+            OptionsError::MaxRegionRadius(r) => ("--region-radius", r.to_string()),
+        };
+        reject(flag, &text, &e.to_string());
     }
     args
 }

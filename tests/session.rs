@@ -3,8 +3,9 @@
 //! composed design *byte-identical* — and an outcome equal modulo
 //! wall-clock — to a fresh batch `compose` of the same mutated design.
 //! Plus the session lifecycle invariants: a clean `recompose` is a no-op,
-//! a second `recompose` changes nothing, and a rejected ECO leaves the
-//! session untouched.
+//! a second `recompose` changes nothing, a rejected ECO leaves the session
+//! untouched, and a long chain of single-ECO passes matches batch after
+//! every pass.
 
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use mbr::core::{
 use mbr::liberty::standard_library;
 use mbr::obs::{with_sink, CounterTotals, ObsSink};
 use mbr::sta::DelayModel;
-use mbr::workloads::{all_presets, d1, eco_script_for, DesignSpec};
+use mbr::workloads::{all_presets, d1, d3, eco_script_for, DesignSpec};
 
 fn model_for(spec: &DesignSpec) -> DelayModel {
     let base = DelayModel::default();
@@ -221,6 +222,61 @@ fn recompose_does_strictly_less_legalize_and_skew_work_than_batch() {
             get(&incr, "cts.skew.adjusted"),
             get(&batch, "cts.skew.adjusted"),
         );
+    }
+}
+
+/// The placement memo (and every other cache) lives across passes, so a
+/// long chain of one-ECO passes must match batch after *every* pass, not
+/// only after one. Each ECO pass must also reuse placements from the pass
+/// before it, which batch never does.
+#[test]
+fn chains_of_single_eco_passes_match_batch_after_every_pass() {
+    let placements_reused = |totals: &CounterTotals| {
+        totals
+            .totals()
+            .get("core.session.placements_reused")
+            .copied()
+            .unwrap_or(0)
+    };
+    for spec in [d1(), d3()] {
+        let lib = standard_library();
+        let design = spec.generate(&lib);
+        let options = options_for(&spec.name);
+        let model = model_for(&spec);
+        let script = eco_script_for(&spec, &design, &lib, 12);
+        let mut session = CompositionSession::open(design.clone(), &lib, options.clone(), model)
+            .expect("session opens");
+        let mut batch_design = design;
+        let mut batch_model = model;
+        for (i, eco) in script.ecos.iter().enumerate() {
+            let at = format!("{} pass {} ({eco})", spec.name, i + 1);
+            session.apply(eco).expect("eco applies");
+            let incr = Arc::new(CounterTotals::default());
+            with_sink(incr.clone() as Arc<dyn ObsSink>, || session.recompose())
+                .expect("recompose succeeds");
+
+            apply_eco(&mut batch_design, &mut batch_model, &lib, eco).expect("eco applies");
+            let mut composed = batch_design.clone();
+            let batch = Arc::new(CounterTotals::default());
+            let batch_outcome = with_sink(batch.clone() as Arc<dyn ObsSink>, || {
+                Composer::new(options.clone(), batch_model).compose(&mut composed, &lib)
+            })
+            .expect("batch flow succeeds");
+
+            assert_eq!(
+                session.composed().to_design_text(&lib),
+                composed.to_design_text(&lib),
+                "{at}: composed design diverged from batch"
+            );
+            assert_eq!(
+                scrubbed(session.outcome()),
+                scrubbed(&batch_outcome),
+                "{at}: outcome diverged from batch"
+            );
+            assert!(placements_reused(&incr) > 0, "{at}: no placement reused");
+            assert_eq!(placements_reused(&batch), 0, "{at}: batch reused");
+        }
+        assert_eq!(session.passes(), 13, "open + twelve eco passes");
     }
 }
 
