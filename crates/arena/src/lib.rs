@@ -1,79 +1,19 @@
 //! Flat, deterministic storage for the hot path (DESIGN.md §14).
 //!
-//! The composition flow's hottest data — the timing graph and the session's
-//! compatibility cache — is indexed by small dense integer ids, so the
-//! natural layout is a flat `Vec` per field rather than pointer- or
-//! map-based structures. This crate provides the three shapes the flow
-//! uses:
+//! The composition flow's hottest data — the timing graph, the pairs the
+//! compatibility builder has checked and the subsets candidate enumeration
+//! has visited — is indexed by small dense integer ids, so the natural
+//! layout is flat storage rather than pointer- or map-based structures.
+//! This crate provides the two shapes the flow uses:
 //!
 //! * [`CsrBuilder`] / [`Csr`] — compressed-sparse-row adjacency built in
-//!   the classic count → prefix-sum → fill order (the STA arc arrays),
-//! * [`GenTable`] — a table of generation-stamped slots for incremental
-//!   caches (a slot is valid iff its stamp says so; invalidation is a
-//!   stamp comparison, not a tree walk), and
+//!   the classic count → prefix-sum → fill order (the STA arc arrays), and
 //! * [`U64Set`] — a deterministic open-addressing set for `u64` keys
 //!   (replaces `std::collections::HashSet` in result-affecting code,
 //!   where `RandomState` iteration order is banned by `mbr-lint` D1).
 //!
 //! Everything here is deterministic by construction: no random hash
 //! state, no address-dependent ordering, no interior mutability.
-
-/// A dense table of generation-stamped cache slots.
-///
-/// Incremental caches pair each slot with the generation (pass number)
-/// that wrote it. A lookup is valid only if the caller's freshness rule
-/// accepts the stamp; invalidation means bumping the generation, never
-/// walking the table. Slots are addressed by plain `usize` (callers
-/// usually index by an upstream id space whose arena they don't own).
-#[derive(Clone, Debug)]
-pub struct GenTable<T> {
-    stamps: Vec<u64>,
-    values: Vec<Option<T>>,
-}
-
-impl<T> Default for GenTable<T> {
-    fn default() -> Self {
-        GenTable {
-            stamps: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-}
-
-impl<T> GenTable<T> {
-    /// Writes `value` into `slot` with generation `stamp`, growing the
-    /// table if needed (new slots empty, stamp 0).
-    pub fn put(&mut self, slot: usize, stamp: u64, value: T) {
-        if slot >= self.values.len() {
-            self.stamps.resize(slot + 1, 0);
-            self.values.resize_with(slot + 1, || None);
-        }
-        self.stamps[slot] = stamp;
-        self.values[slot] = Some(value);
-    }
-
-    /// The slot's value and stamp, if occupied.
-    pub fn get(&self, slot: usize) -> Option<(u64, &T)> {
-        match self.values.get(slot) {
-            Some(Some(v)) => Some((self.stamps[slot], v)),
-            _ => None,
-        }
-    }
-
-    /// Drops every slot whose stamp is older than `min_stamp`, returning
-    /// how many were evicted.
-    pub fn evict_older_than(&mut self, min_stamp: u64) -> usize {
-        let mut evicted = 0;
-        for (stamp, value) in self.stamps.iter_mut().zip(&mut self.values) {
-            if value.is_some() && *stamp < min_stamp {
-                *value = None;
-                *stamp = 0;
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-}
 
 /// Compressed-sparse-row adjacency: `offsets[n]..offsets[n + 1]` indexes
 /// the flat edge arrays of node `n`. Built by [`CsrBuilder`]; edge payload
@@ -253,21 +193,6 @@ impl U64Set {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gen_table_stamps_and_evicts() {
-        let mut t: GenTable<&str> = GenTable::default();
-        t.put(3, 5, "x");
-        t.put(1, 2, "y");
-        assert_eq!(t.get(3), Some((5, &"x")));
-        assert_eq!(t.get(0), None);
-        assert_eq!(t.get(99), None);
-        assert_eq!(t.evict_older_than(3), 1); // slot 1 (stamp 2) goes
-        assert_eq!(t.get(1), None);
-        assert_eq!(t.get(3), Some((5, &"x")));
-        assert_eq!(t.evict_older_than(6), 1);
-        assert_eq!(t.get(3), None);
-    }
 
     #[test]
     fn csr_builds_in_count_fill_order() {

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use mbr_arena::{GenTable, U64Set};
+use mbr_arena::U64Set;
 use mbr_geom::{Point, Rect};
 use mbr_graph::UnGraph;
 use mbr_liberty::{ClassId, Library};
@@ -29,7 +29,6 @@ use mbr_netlist::{Design, InstId, InstKind};
 use mbr_obs::{self as obs, Counter};
 use mbr_sta::{SkewWindow, Sta};
 
-use crate::stages::Dirty;
 use crate::ComposerOptions;
 
 /// A composable register with the data compatibility checks need.
@@ -145,9 +144,7 @@ fn collect_composable(
 }
 
 /// Builds one register's [`ComposableRegister`] entry, or `None` when the
-/// register is not composable. This is the single source of truth for both
-/// the batch build and the incremental cache refresh: a cached entry is by
-/// definition what this function returned on the pass that computed it.
+/// register is not composable.
 fn composable_entry(
     design: &Design,
     lib: &Library,
@@ -212,169 +209,11 @@ fn composable_entry(
     })
 }
 
-/// A node-pair (or instance-pair) packed into one `u64` set key; callers
-/// normalize so `lo <= hi`.
+/// A node pair packed into one `u64` set key; callers normalize so
+/// `lo <= hi`.
 fn pair_key(lo: usize, hi: usize) -> u64 {
     debug_assert!(lo <= hi && hi <= u32::MAX as usize);
     ((lo as u64) << 32) | hi as u64
-}
-
-/// Cross-pass cache of the compatibility stage, owned by a
-/// [`crate::CompositionSession`].
-///
-/// Correctness is inductive: an entry is stored only as part of a full
-/// graph result, so a *clean* register (no ECO touched it and no pin
-/// timing moved since the pass that stored the entry) has a cached entry
-/// bitwise-equal to what [`composable_entry`] would recompute — every
-/// input that function reads (attributes, cell, width, location, die, own
-/// bit-pin slacks, options, delay model) is unchanged. The same holds for
-/// a cached edge between two clean registers.
-///
-/// Storage is arena-shaped (DESIGN.md §14): entries live in a
-/// [`GenTable`] slotted by dense instance index and stamped with the pass
-/// generation that wrote them — a lookup is valid iff its stamp equals the
-/// current generation, so invalidation is a stamp bump, not a tree walk —
-/// and edges are normalized instance pairs packed into a [`U64Set`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CompatCache {
-    /// Composable entries slotted by `InstId::index()`, stamped with the
-    /// generation of the pass that stored them.
-    entries: GenTable<ComposableRegister>,
-    /// Compatibility edges as packed normalized `(lo, hi)` instance pairs.
-    edges: U64Set,
-    /// Generation of the last complete pass result stored.
-    generation: u64,
-    /// Whether the cache holds a complete pass result. An unprimed cache
-    /// cannot distinguish "not composable" from "never computed", so
-    /// refreshes against it treat every register as dirty.
-    primed: bool,
-}
-
-impl CompatCache {
-    /// The cached entry for `inst`, if stored by the last completed pass.
-    fn entry(&self, inst: InstId) -> Option<&ComposableRegister> {
-        self.entries
-            .get(inst.index())
-            .filter(|&(stamp, _)| stamp == self.generation)
-            .map(|(_, entry)| entry)
-    }
-
-    /// Whether the last completed pass stored a compatibility edge between
-    /// the two instances.
-    fn has_edge(&self, a: InstId, b: InstId) -> bool {
-        let (lo, hi) = (a.min(b), a.max(b));
-        self.edges.contains(pair_key(lo.index(), hi.index()))
-    }
-
-    /// Replaces the cache contents with a freshly built graph.
-    fn store(&mut self, graph: &CompatGraph) {
-        self.generation += 1;
-        for r in &graph.regs {
-            self.entries.put(r.inst.index(), self.generation, r.clone());
-        }
-        // Slots not rewritten this pass keep their old stamp and fail the
-        // generation check; drop their payloads so the table stays lean.
-        self.entries.evict_older_than(self.generation);
-        self.edges.clear();
-        for (i, r) in graph.regs.iter().enumerate() {
-            for j in graph.graph.neighbors(i) {
-                if j > i {
-                    let (a, b) = (r.inst, graph.regs[j].inst);
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    self.edges.insert(pair_key(lo.index(), hi.index()));
-                }
-            }
-        }
-        self.primed = true;
-    }
-}
-
-/// Rebuilds the compatibility graph for a session pass, recomputing only
-/// dirty registers' entries and the edges incident to them; clean entries
-/// and clean-clean edges come from `cache`. The result is byte-identical
-/// to [`CompatGraph::build`] on the same design (see [`CompatCache`]), and
-/// `cache` is repopulated from it for the next pass.
-pub(crate) fn build_incremental(
-    design: &Design,
-    lib: &Library,
-    sta: &Sta,
-    options: &ComposerOptions,
-    cache: &mut CompatCache,
-    dirty: &Dirty,
-) -> CompatGraph {
-    let all_dirty = dirty.structural || !cache.primed;
-    let mut regs: Vec<ComposableRegister> = Vec::new();
-    // Per node: whether its entry was recomputed this pass (its incident
-    // edges must then be re-checked rather than read from the cache).
-    let mut recomputed: Vec<bool> = Vec::new();
-    let mut reused_entries = 0u64;
-    for (inst_id, _) in design.registers() {
-        if all_dirty || dirty.is_dirty(inst_id) {
-            if let Some(entry) = composable_entry(design, lib, sta, options, inst_id) {
-                regs.push(entry);
-                recomputed.push(true);
-            }
-        } else if let Some(entry) = cache.entry(inst_id) {
-            regs.push(entry.clone());
-            recomputed.push(false);
-            reused_entries += 1;
-        }
-    }
-
-    // Same spatial hash as the batch build. Regions are exact rects, so a
-    // compatible pair always shares a bucket (their regions intersect);
-    // pairs that never share a bucket are guaranteed edgeless.
-    let n = regs.len();
-    let mut graph = UnGraph::new(n);
-    let cell_size: i64 = 40_000;
-    let mut buckets: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
-    let bucket_of = |p: Point| (p.x.div_euclid(cell_size), p.y.div_euclid(cell_size));
-    for (i, reg) in regs.iter().enumerate() {
-        let lo = bucket_of(reg.region.lo());
-        let hi = bucket_of(reg.region.hi());
-        for bx in lo.0..=hi.0 {
-            for by in lo.1..=hi.1 {
-                buckets.entry((bx, by)).or_default().push(i);
-            }
-        }
-    }
-    let mut checked = U64Set::new();
-    let mut removed = 0u64;
-    for bucket in buckets.values() {
-        for (k, &i) in bucket.iter().enumerate() {
-            for &j in &bucket[k + 1..] {
-                if !checked.insert(pair_key(i.min(j), i.max(j))) {
-                    continue;
-                }
-                // Cached edges are post-prune, so the width-sum filter only
-                // applies on the recompute path; the counter reflects pairs
-                // this pass actually re-examined.
-                let has_edge = if recomputed[i] || recomputed[j] {
-                    compatible(design, &regs[i], &regs[j])
-                        && if options.prune_compat_edges
-                            && !width_sum_selectable(&regs[i], &regs[j])
-                        {
-                            removed += 1;
-                            false
-                        } else {
-                            true
-                        }
-                } else {
-                    cache.has_edge(regs[i].inst, regs[j].inst)
-                };
-                if has_edge {
-                    graph.add_edge(i, j);
-                }
-            }
-        }
-    }
-    obs::counter(Counter::CompatRegisters, regs.len() as u64);
-    obs::counter(Counter::CompatEdges, graph.edge_count() as u64);
-    obs::counter(Counter::CompatEdgesRemoved, removed);
-    obs::counter(Counter::SessionCompatReused, reused_entries);
-    let out = CompatGraph { regs, graph };
-    cache.store(&out);
-    out
 }
 
 /// Full pairwise compatibility predicate (functional + scan + placement +

@@ -30,8 +30,8 @@
 //!
 //! For *incremental* use — the paper's motivating scenario of repeated
 //! ECO-driven re-composition — open a [`CompositionSession`]: it keeps the
-//! timing graph, compatibility cache, partition memo and legalization grid
-//! alive between passes, applies [`Eco`]s with dirty-region tracking, and
+//! timing graph, partition memo and placement memo alive between passes,
+//! applies [`Eco`]s while recording the instances they touch, and
 //! guarantees each [`CompositionSession::recompose`] is byte-identical to a
 //! fresh batch [`Composer::compose`] on the mutated design.
 //!

@@ -2,20 +2,22 @@
 //! dirtied.
 //!
 //! A [`CompositionSession`] owns an evolving *pre-composition* design plus
-//! the persistent analyses of the flow — the timing graph, the
-//! compatibility cache, the partition/ILP memo, and the legalization grid.
+//! the three persistent analyses of the flow that pay for their upkeep —
+//! the timing graph, the partition/ILP memo and the placement-LP memo.
+//! Compatibility, legalization and useful skew are rebuilt every pass:
+//! caches for them measured slower than the rebuild.
 //! [`CompositionSession::open`] runs the full flow once (pass 0);
-//! [`CompositionSession::apply`] records an [`Eco`] and marks the region it
-//! dirtied; [`CompositionSession::recompose`] re-runs the flow reusing
-//! every cached result the dirt does not reach.
+//! [`CompositionSession::apply`] records an [`Eco`] and marks the instances
+//! it touched; [`CompositionSession::recompose`] re-runs the flow reusing
+//! every cached result the ECOs do not reach.
 //!
 //! **Equivalence contract:** each pass clones the session's pre-compose
 //! design and runs the *same* driver ([`crate::stages::run_flow`]) as the
 //! batch [`crate::Composer`], with only the backend swapped. Stages that
 //! mutate the design always run in full; reuse is confined to stages whose
 //! outputs are proven bitwise-equal (incremental STA, oracle-tested in
-//! `mbr-sta`) or keyed on every input they read (compatibility entries,
-//! partition candidates + ILP solutions). A `recompose()` therefore
+//! `mbr-sta`) or keyed on every input they read (partition candidates +
+//! ILP solutions, placement corners). A `recompose()` therefore
 //! produces a [`ComposeOutcome`] and a composed design byte-identical to a
 //! fresh batch `compose` on the same mutated design — the differential
 //! test in `tests/session.rs` asserts exactly that, per preset, at several
@@ -28,11 +30,9 @@ use mbr_geom::{Point, Rect};
 use mbr_liberty::Library;
 use mbr_netlist::{Design, EditError, InstId};
 use mbr_obs::{self as obs, Counter};
-use mbr_place::PlacementGrid;
 use mbr_sta::{DelayModel, Sta};
 
 use crate::candidates::PartitionCache;
-use crate::compat::CompatCache;
 use crate::flow::{ComposeError, ComposeOutcome};
 use crate::stages::map_place::PlacementMemo;
 use crate::stages::{self, Backend, EcoDirty, Strategy};
@@ -422,21 +422,10 @@ impl fmt::Display for EcoScript {
 pub(crate) struct SessionState {
     /// Persistent timing graph, refreshed incrementally.
     pub(crate) sta: Option<Sta>,
-    /// Composable-register entries and compatibility edges of the last
-    /// pass.
-    pub(crate) compat: CompatCache,
     /// Content-keyed memo of candidate enumeration and ILP solutions.
     pub(crate) parts: PartitionCache,
     /// Exact-input memo of the last pass's §4.2 placement corners.
     pub(crate) placements: PlacementMemo,
-    /// The legalization grid (a die/library invariant).
-    pub(crate) grid: Option<PlacementGrid>,
-    /// Validated per-cell legalization decisions of the last pass: cells
-    /// whose gap search provably reads unchanged rows replay their landing.
-    pub(crate) legalize: mbr_place::LegalizeReplay,
-    /// Validated per-sink useful-skew decisions of the last pass: sinks
-    /// with bit-identical slacks and offsets replay their adjustment.
-    pub(crate) skew: mbr_cts::SkewReplay,
 }
 
 /// A reusable composition flow over one evolving design. See the module

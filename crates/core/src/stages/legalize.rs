@@ -1,4 +1,4 @@
-//! Stage 6b: legalization of the new MBRs onto the placement grid.
+//! Stage 6b: the placement grid the new MBRs are legalized onto.
 
 use mbr_liberty::Library;
 use mbr_netlist::Design;
@@ -21,20 +21,6 @@ pub fn infer_grid(design: &Design, lib: &Library) -> PlacementGrid {
         site = 100;
     }
     PlacementGrid::new(design.die(), row_height, site)
-}
-
-/// The grid for this pass: inferred fresh on the batch backend, cached
-/// across passes on the session backend (die and library never change
-/// within a session, so the grid is a pass invariant).
-pub(crate) fn grid(
-    design: &Design,
-    lib: &Library,
-    cache: Option<&mut Option<PlacementGrid>>,
-) -> PlacementGrid {
-    match cache {
-        Some(slot) => *slot.get_or_insert_with(|| infer_grid(design, lib)),
-        None => infer_grid(design, lib),
-    }
 }
 
 fn gcd(a: i64, b: i64) -> i64 {

@@ -3,26 +3,24 @@
 //! [`run_flow`] is the single driver behind every [`crate::Composer`] entry
 //! point *and* every [`crate::CompositionSession`] pass. Each stage with
 //! logic of its own lives in its own module as an input → output function;
-//! the rest (from-scratch timing, the compatibility graph, useful skew,
-//! sizing) are single calls into their subsystems. The driver owns the
-//! stage order, the per-stage spans and timings, and the [`mbr_check`]
-//! checkpoints, so the two backends cannot drift apart structurally:
+//! the rest (from-scratch timing, the compatibility graph, legalization,
+//! useful skew, sizing) are single calls into their subsystems. The driver
+//! owns the stage order, the per-stage spans and timings, and the
+//! [`mbr_check`] checkpoints, so the two backends cannot drift apart
+//! structurally:
 //!
 //! * [`Backend::Batch`] computes everything from scratch — the one-shot
 //!   `compose` behavior.
 //! * [`Backend::Session`] reuses a [`crate::session::SessionState`]: the
-//!   timing stage refreshes the persistent [`Sta`] incrementally, the
-//!   compatibility stage recomputes only dirty registers and their incident
-//!   edges, and candidate enumeration + the assignment ILP are memoized per
-//!   partition by exact content. Legalization and useful skew additionally
-//!   carry validated replay caches: per-cell and per-sink decisions whose
-//!   inputs are provably unchanged since the previous pass are replayed
-//!   instead of re-searched. A session pass still produces byte-identical
+//!   timing stage refreshes the persistent [`Sta`] incrementally, candidate
+//!   enumeration + the assignment ILP are memoized per partition by exact
+//!   content, and the §4.2 placement LP reuses the previous pass's corner
+//!   for every pick whose inputs are word-for-word equal. Every other stage
+//!   runs the batch code. A session pass still produces byte-identical
 //!   results to a batch run on the same design by construction — every
-//!   reuse is either proven bitwise-equal (incremental STA), keyed on every
-//!   input it reads (compat entries, partition candidates), or validated
-//!   against the current state before being trusted (legalize/skew replay);
-//!   only the *work* counters differ.
+//!   reuse is either proven bitwise-equal (incremental STA) or keyed on
+//!   every input it reads (partition candidates, placement corners); only
+//!   the *work* counters differ.
 
 pub(crate) mod assign;
 pub(crate) mod candidates;
@@ -34,14 +32,14 @@ pub(crate) mod timing;
 use std::collections::{BTreeMap, BTreeSet};
 
 use mbr_check::{check_netlist, check_partition, Diagnostic, MergeGroup, Paranoia, PartitionCover};
-use mbr_cts::assign_useful_skew_with_replay;
+use mbr_cts::assign_useful_skew;
 use mbr_geom::Rect;
 use mbr_liberty::Library;
 use mbr_netlist::{Design, InstId};
 use mbr_obs::{self as obs, Counter, FlowStage, Span, StageTimings};
 use mbr_sta::{DelayModel, Sta};
 
-use crate::compat::{build_incremental, CompatGraph};
+use crate::compat::CompatGraph;
 use crate::flow::{ComposeError, ComposeOutcome, StageDiagnostic};
 use crate::session::SessionState;
 use crate::sizing::downsize_mbrs;
@@ -63,8 +61,8 @@ pub(crate) enum Backend<'s> {
     Batch,
     /// Reuse the session's persistent analyses, scoped by the pending ECOs.
     Session {
-        /// Incrementally maintained state (STA, compat cache, partition
-        /// memo, legalization grid).
+        /// Incrementally maintained state (STA, partition memo, placement
+        /// memo).
         state: &'s mut SessionState,
         /// What the ECOs since the last pass touched.
         eco: &'s EcoDirty,
@@ -77,7 +75,8 @@ pub(crate) struct EcoDirty {
     /// Instances edited in place (moved, retargeted, re-fixed).
     pub touched: Vec<InstId>,
     /// A structural or global edit happened (register added/removed, clock
-    /// period changed): per-instance reuse is unsound, rebuild everything.
+    /// period changed): the timing graph is rebuilt from scratch (the
+    /// content-keyed memos still apply).
     pub structural: bool,
     /// ECOs applied since the last pass (counter fodder).
     pub ecos: u64,
@@ -95,24 +94,6 @@ impl EcoDirty {
     /// Whether a recompose pass has anything to react to.
     pub(crate) fn is_dirty(&self) -> bool {
         self.structural || !self.touched.is_empty()
-    }
-}
-
-/// The per-pass dirty set the timing stage derives for the later stages:
-/// the ECO-touched instances plus every instance owning a pin whose timing
-/// moved.
-pub(crate) struct Dirty {
-    /// Instances whose compat entry may have changed.
-    pub insts: BTreeSet<InstId>,
-    /// Full-rebuild pass: ignore `insts`, recompute everything (caches are
-    /// still *re-populated* so the next pass can be incremental).
-    pub structural: bool,
-}
-
-impl Dirty {
-    /// Whether this instance's cached per-register data may be stale.
-    pub(crate) fn is_dirty(&self, inst: InstId) -> bool {
-        self.structural || self.insts.contains(&inst)
     }
 }
 
@@ -143,54 +124,28 @@ pub(crate) fn run_flow(
 
     // The session state splits into independently-borrowed caches up
     // front, so the stages below can hold each across the others' borrows.
-    let (
-        sta_cache,
-        compat_cache,
-        mut parts_cache,
-        placement_cache,
-        grid_cache,
-        legalize_cache,
-        skew_cache,
-        eco,
-    ) = match backend {
-        Backend::Batch => (None, None, None, None, None, None, None, None),
+    let (sta_cache, mut parts_cache, placement_cache) = match backend {
+        Backend::Batch => (None, None, None),
         Backend::Session { state, eco } => (
-            Some(&mut state.sta),
-            Some(&mut state.compat),
+            Some((&mut state.sta, eco)),
             Some(&mut state.parts),
             Some(&mut state.placements),
-            Some(&mut state.grid),
-            Some(&mut state.legalize),
-            Some(&mut state.skew),
-            Some(eco),
         ),
     };
 
     // 1. Timing analysis on the incoming placement. The batch backend
     // analyzes from scratch; the session backend refreshes its persistent
     // analyzer incrementally (bitwise-identical results — see the oracle
-    // test in mbr-sta) and reports which instances' timing moved.
+    // test in mbr-sta).
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Timing.span_name());
     let sta_storage: Sta;
-    let (sta, dirty): (&Sta, Option<Dirty>) = match sta_cache {
+    let sta: &Sta = match sta_cache {
         None => {
             sta_storage = Sta::new(design, lib, model)?;
-            (&sta_storage, None)
+            &sta_storage
         }
-        Some(slot) => {
-            let dirty = timing::refresh(
-                &mut *slot,
-                design,
-                lib,
-                model,
-                eco.expect("session backend"),
-            )?;
-            (
-                slot.as_ref().expect("refresh builds the analyzer"),
-                Some(dirty),
-            )
-        }
+        Some((slot, eco)) => timing::refresh(slot, design, lib, model, eco)?,
     };
     drop(span);
     timings.add(FlowStage::Timing, obs::now_ns() - t0);
@@ -200,15 +155,10 @@ pub(crate) fn run_flow(
         });
     }
 
-    // 2. Compatibility graph (Section 2). Batch passes build it whole;
-    // session passes recompute only dirty registers' entries and the edges
-    // incident to them.
+    // 2. Compatibility graph (Section 2), built whole under both backends.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Compat.span_name());
-    let compat = match (compat_cache, &dirty) {
-        (Some(cache), Some(dirty)) => build_incremental(design, lib, sta, options, cache, dirty),
-        _ => CompatGraph::build(design, lib, sta, options),
-    };
+    let compat = CompatGraph::build(design, lib, sta, options);
     outcome.composable = compat.regs.len();
     let regions: BTreeMap<InstId, Rect> = compat.regs.iter().map(|r| (r.inst, r.region)).collect();
     drop(span);
@@ -269,10 +219,8 @@ pub(crate) fn run_flow(
 
     // 6. Mapping is pre-resolved per candidate; place (Section 4.2),
     // merge, then legalize. These stages mutate the design under every
-    // backend, but the session backend carries validated replay caches:
-    // legalization and skew decisions whose inputs are provably unchanged
-    // since the previous pass are replayed instead of recomputed, for a
-    // byte-identical outcome at strictly less work.
+    // backend; the session backend only reuses placement corners whose
+    // inputs are word-for-word those of the previous pass.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Mapping.span_name());
     let new_mbrs = map_place::run(
@@ -288,8 +236,8 @@ pub(crate) fn run_flow(
 
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Legalization.span_name());
-    let grid = legalize::grid(design, lib, grid_cache);
-    outcome.legalize = mbr_place::legalize_with_replay(design, &grid, &new_mbrs, legalize_cache)?;
+    let grid = legalize::infer_grid(design, lib);
+    outcome.legalize = mbr_place::legalize(design, &grid, &new_mbrs)?;
     drop(span);
     timings.add(FlowStage::Legalization, obs::now_ns() - t0);
 
@@ -317,15 +265,12 @@ pub(crate) fn run_flow(
     if options.apply_useful_skew && !new_mbrs.is_empty() {
         let t0 = obs::now_ns();
         let span = Span::enter(FlowStage::Skew.span_name());
-        // The session backend passes its replay cache, so sinks whose
-        // slacks and offsets match the previous pass skip the balance.
-        outcome.skew = Some(assign_useful_skew_with_replay(
+        outcome.skew = Some(assign_useful_skew(
             design,
             lib,
             &mut post_sta,
             &new_mbrs,
             &options.skew,
-            skew_cache,
         ));
         drop(span);
         timings.add(FlowStage::Skew, obs::now_ns() - t0);

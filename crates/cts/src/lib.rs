@@ -442,40 +442,6 @@ pub struct SkewReport {
     pub tns_after: f64,
 }
 
-/// One cached per-sink balancing decision, keyed by the full set of inputs
-/// that determine it: the sink's name, its clock offset entering the step,
-/// and its D-/Q-side slacks at the step (all `f64`s as raw bits — replay
-/// validation is exact-bit, never tolerance-based).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SinkRecord {
-    name: String,
-    pre_offset: u64,
-    d_slack: Option<u64>,
-    q_slack: Option<u64>,
-    /// `Some(bits)` if the step applied this new offset, `None` if it left
-    /// the sink alone (one-sided, or below `min_useful`).
-    applied: Option<u64>,
-}
-
-/// Cross-pass memo of [`assign_useful_skew`] decisions, enabling
-/// validated replay in session mode: a sink whose inputs (offset and both
-/// slacks) are bit-identical to the cached pass takes the cached decision
-/// without recomputing it, and counts into `cts.skew.sinks_skipped`.
-///
-/// Because each record is validated against the *actual* current state
-/// before being trusted, replay is sound on any pass — including ones
-/// following structural rebuilds — and the assigned offsets, the
-/// [`SkewReport`], and the skew histogram stay byte-identical to a
-/// replay-free run.
-#[derive(Clone, Debug, Default)]
-pub struct SkewReplay {
-    /// One record vector per executed balance pass, indexed positionally
-    /// by the register's position in the `regs` slice.
-    passes: Vec<Vec<SinkRecord>>,
-    config: Option<SkewConfig>,
-    primed: bool,
-}
-
 /// Assigns per-register useful-skew clock offsets to the given registers,
 /// balancing each register's worst D-side and Q-side slacks (the optimal
 /// single-register choice: the offset that maximizes `min(slack_D + δ,
@@ -492,49 +458,14 @@ pub fn assign_useful_skew(
     regs: &[InstId],
     config: &SkewConfig,
 ) -> SkewReport {
-    assign_useful_skew_with_replay(design, lib, sta, regs, config, None)
-}
-
-/// [`assign_useful_skew`] with an optional cross-pass [`SkewReplay`] cache.
-/// Sinks whose cached decision validates bit-exactly against the current
-/// state skip the balance computation; `cts.skew.adjusted` then counts only
-/// the genuinely recomputed adjustments while the returned report still
-/// describes the full (identical) outcome.
-pub fn assign_useful_skew_with_replay(
-    design: &mut Design,
-    lib: &Library,
-    sta: &mut Sta,
-    regs: &[InstId],
-    config: &SkewConfig,
-    mut replay: Option<&mut SkewReplay>,
-) -> SkewReport {
     let mut report = SkewReport {
         wns_before: sta.report().wns,
         tns_before: sta.report().tns,
         ..SkewReport::default()
     };
 
-    let cached: Vec<Vec<SinkRecord>> = match replay.as_deref_mut() {
-        Some(r) if r.primed && r.config == Some(*config) => std::mem::take(&mut r.passes),
-        _ => Vec::new(),
-    };
-    // Name-keyed per-pass lookup: a record validates by its *inputs* alone,
-    // so a sink may hit even when the register list shifted positionally
-    // (MBRs added/removed between passes).
-    let cached_by_name: Vec<std::collections::BTreeMap<&str, &SinkRecord>> = cached
-        .iter()
-        .map(|p| p.iter().map(|r| (r.name.as_str(), r)).collect())
-        .collect();
-    let mut fresh: Vec<Vec<SinkRecord>> = Vec::new();
-    let mut sinks_replayed = 0u64;
-
     let mut adjusted = std::collections::BTreeSet::new();
-    // Registers with at least one genuinely *computed* applied decision —
-    // in a replay-free run this equals `adjusted`, so the observability
-    // counter stays batch-identical; under replay it is strictly smaller
-    // whenever any applying step was replayed.
-    let mut computed = std::collections::BTreeSet::new();
-    for pass in 0..config.passes {
+    for _ in 0..config.passes {
         let snapshot: Vec<(InstId, f64)> = regs
             .iter()
             .map(|&r| {
@@ -550,75 +481,27 @@ pub fn assign_useful_skew_with_replay(
             .collect();
         let tns_at_pass_start = sta.report().tns;
 
-        let mut records: Vec<SinkRecord> = Vec::with_capacity(regs.len());
         let mut pass_changed = false;
         for &r in regs {
             let d_slack = sta.report().register_d_slack(design, r);
             let q_slack = sta.report().register_q_slack(design, r);
-            let pre_offset = design
-                .inst(r)
-                .register_attrs()
-                .expect("register")
-                .clock_offset;
-            let name = &design.inst(r).name;
-            let d_bits = d_slack.map(f64::to_bits);
-            let q_bits = q_slack.map(f64::to_bits);
-            let rec = cached_by_name
-                .get(pass)
-                .and_then(|m| m.get(name.as_str()))
-                .copied()
-                .filter(|rec| {
-                    rec.pre_offset == pre_offset.to_bits()
-                        && rec.d_slack == d_bits
-                        && rec.q_slack == q_bits
-                });
-            let decision = if let Some(rec) = rec {
-                // Bit-exact inputs: the balance step is a pure function of
-                // them, so the cached decision is the computed one.
-                sinks_replayed += 1;
-                rec.applied.map(f64::from_bits)
-            } else {
-                let computed_decision = match (d_slack, q_slack) {
-                    (Some(sd), Some(sq)) => {
-                        // Balance point, as an *increment* over the current
-                        // offset.
-                        let delta = (sq - sd) / 2.0;
-                        let new_offset =
-                            (pre_offset + delta).clamp(-config.max_abs_skew, config.max_abs_skew);
-                        if (new_offset - pre_offset).abs() < config.min_useful {
-                            None
-                        } else {
-                            Some(new_offset)
-                        }
-                    }
-                    // One-sided registers gain nothing from skew.
-                    _ => None,
-                };
-                if computed_decision.is_some() {
-                    computed.insert(r);
-                }
-                computed_decision
-            };
-            records.push(SinkRecord {
-                name: name.clone(),
-                pre_offset: pre_offset.to_bits(),
-                d_slack: d_bits,
-                q_slack: q_bits,
-                applied: decision.map(f64::to_bits),
-            });
-            let Some(new_offset) = decision else {
+            // One-sided registers gain nothing from skew.
+            let (Some(sd), Some(sq)) = (d_slack, q_slack) else {
                 continue;
             };
-            design
-                .inst_mut(r)
-                .register_attrs_mut()
-                .expect("register")
-                .clock_offset = new_offset;
+            let attrs = design.inst_mut(r).register_attrs_mut().expect("register");
+            // Balance point, as an *increment* over the current offset.
+            let delta = (sq - sd) / 2.0;
+            let new_offset =
+                (attrs.clock_offset + delta).clamp(-config.max_abs_skew, config.max_abs_skew);
+            if (new_offset - attrs.clock_offset).abs() < config.min_useful {
+                continue;
+            }
+            attrs.clock_offset = new_offset;
             sta.update_after_change(design, lib, &[r]);
             adjusted.insert(r);
             pass_changed = true;
         }
-        fresh.push(records);
 
         if sta.report().tns < tns_at_pass_start - 1e-9 {
             // The pass hurt: roll back its offsets.
@@ -638,20 +521,10 @@ pub fn assign_useful_skew_with_replay(
         }
     }
 
-    if let Some(r) = replay {
-        r.passes = fresh;
-        r.config = Some(*config);
-        r.primed = true;
-    }
     report.adjusted = adjusted.len();
     report.wns_after = sta.report().wns;
     report.tns_after = sta.report().tns;
-    // The *work* counter: adjustments this run actually computed. Replayed
-    // adjustments land in `cts.skew.sinks_skipped` instead, so an
-    // incremental run's counters prove it did strictly less balancing work
-    // than batch while the report above stays outcome-identical.
-    obs::counter(Counter::SkewAdjusted, computed.len() as u64);
-    obs::counter(Counter::SkewSinksSkipped, sinks_replayed);
+    obs::counter(Counter::SkewAdjusted, report.adjusted as u64);
     obs::gauge(Gauge::WnsPs, report.wns_after);
     obs::gauge(Gauge::TnsPs, report.tns_after);
     // Final |offset| magnitudes (rounded to whole ps) of every touched

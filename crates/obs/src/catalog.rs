@@ -61,9 +61,6 @@ pub enum Counter {
     SessionPartitionsRecomputed,
     /// ECOs applied to a composition session.
     SessionEcosApplied,
-    /// Composable-register entries an incremental recompose reused from the
-    /// session's compatibility cache (clean registers it did not recompute).
-    SessionCompatReused,
     /// Candidate subsets the enumeration pre-filters skipped or cut before
     /// validation (duplicate sub-clique visits and empty-region subtrees).
     SetPartCandidatesFiltered,
@@ -75,12 +72,6 @@ pub enum Counter {
     /// (the static fractional bound alone would not have cut the node),
     /// including root solves closed outright by the relaxation.
     SetPartLpBoundCuts,
-    /// Row probe-sets the dirty-region legalizer replayed from the session
-    /// cache instead of re-probing (strictly less work than batch).
-    LegalizeRowsSkipped,
-    /// Skew sinks whose cached adjustment a session pass replayed after
-    /// validating its timing inputs, instead of recomputing the decision.
-    SkewSinksSkipped,
     /// Section 3.2 test polygons (convex hulls) candidate enumeration
     /// built to count blocking registers.
     CandidatePolygons,
@@ -91,7 +82,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in catalog order (documentation and validation).
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 27] = [
         Counter::SimplexPivots,
         Counter::SetPartSolves,
         Counter::SetPartNodesExplored,
@@ -114,12 +105,9 @@ impl Counter {
         Counter::SessionPartitionsReused,
         Counter::SessionPartitionsRecomputed,
         Counter::SessionEcosApplied,
-        Counter::SessionCompatReused,
         Counter::SetPartCandidatesFiltered,
         Counter::CompatEdgesRemoved,
         Counter::SetPartLpBoundCuts,
-        Counter::LegalizeRowsSkipped,
-        Counter::SkewSinksSkipped,
         Counter::CandidatePolygons,
         Counter::SessionPlacementsReused,
     ];
@@ -149,12 +137,9 @@ impl Counter {
             Counter::SessionPartitionsReused => "core.session.partitions_reused",
             Counter::SessionPartitionsRecomputed => "core.session.partitions_recomputed",
             Counter::SessionEcosApplied => "core.session.ecos_applied",
-            Counter::SessionCompatReused => "core.session.compat_reused",
             Counter::SetPartCandidatesFiltered => "core.candidates.filtered",
             Counter::CompatEdgesRemoved => "core.compat.edges_removed",
             Counter::SetPartLpBoundCuts => "lp.setpart.lp_bound_cuts",
-            Counter::LegalizeRowsSkipped => "place.legalize.rows_skipped",
-            Counter::SkewSinksSkipped => "cts.skew.sinks_skipped",
             Counter::CandidatePolygons => "core.candidates.polygons",
             Counter::SessionPlacementsReused => "core.session.placements_reused",
         }
@@ -166,15 +151,11 @@ impl Counter {
     }
 
     /// Which way the counter moves when the program gets better. Most
-    /// counters count work done; the reuse and skip counters count work a
+    /// counters count work done; the two reuse counters count work a
     /// session avoided, so for them more is better.
     pub(crate) fn better(self) -> Better {
         match self {
-            Counter::SessionPartitionsReused
-            | Counter::SessionCompatReused
-            | Counter::SessionPlacementsReused
-            | Counter::LegalizeRowsSkipped
-            | Counter::SkewSinksSkipped => Better::Higher,
+            Counter::SessionPartitionsReused | Counter::SessionPlacementsReused => Better::Higher,
             _ => Better::Lower,
         }
     }

@@ -542,12 +542,9 @@ mod tests {
     }
 
     /// The counters that count work a session avoided.
-    const REUSE: [&str; 5] = [
+    const REUSE: [&str; 2] = [
         "core.session.partitions_reused",
-        "core.session.compat_reused",
         "core.session.placements_reused",
-        "place.legalize.rows_skipped",
-        "cts.skew.sinks_skipped",
     ];
 
     /// `(failures, flags, text)` of gating `name` at `now` against a

@@ -143,66 +143,6 @@ pub struct LegalizeReport {
     pub max_displacement: Dbu,
 }
 
-/// One movable's legalization decision, as recorded for dirty-region
-/// replay: what it was asked to place (`target`, `width`, `rows_spanned`),
-/// where it landed, and which rows' occupancy the search read.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ReplayEntry {
-    target: Point,
-    width: Dbu,
-    rows_spanned: usize,
-    final_loc: Point,
-    /// Sorted, deduplicated rows whose occupancy the search examined. The
-    /// landing is a deterministic function of exactly these rows' state, so
-    /// the decision replays verbatim whenever none of them is dirty.
-    probed_rows: Vec<usize>,
-}
-
-/// The inputs the gap search reads besides row occupancy. Two movables with
-/// equal keys are interchangeable to the legalizer — instance names are
-/// deliberately *not* part of the key, because merge-generated names shift
-/// whenever an earlier partition's selection changes, while the placement
-/// problem they pose is unchanged.
-type PlacementKey = (Dbu, Dbu, Dbu, usize);
-
-impl ReplayEntry {
-    /// The rows this entry's landing occupied.
-    fn placed_rows(&self, grid: &PlacementGrid) -> std::ops::Range<usize> {
-        let row = grid.nearest_row(self.final_loc.y);
-        row..row + self.rows_spanned
-    }
-
-    fn key(&self) -> PlacementKey {
-        (self.target.x, self.target.y, self.width, self.rows_spanned)
-    }
-}
-
-/// Cross-pass replay cache for [`legalize_with_replay`] (DESIGN.md §14).
-///
-/// Stores the previous pass's per-movable decisions in processing order
-/// plus the static (blockage) occupancy of every row. The next pass diffs
-/// static occupancy to seed a *dirty-row* set, then walks its movables in
-/// the same widest-first order: a movable whose cached entry matches
-/// (same [`PlacementKey`] at the same processing position) and whose
-/// probed rows are all clean must land exactly where it did before — the
-/// outward row search reads nothing else — so the cached landing is
-/// applied without re-probing any gap. Every recomputed or
-/// vanished movable dirties the rows whose occupancy it changes, keeping
-/// the invariant inductively: the dirty set always covers every row whose
-/// state at the *current processing step* may differ from the cached
-/// pass. Replay is content-validated, so it is sound on any pass —
-/// including full rebuilds — and the legalized result is byte-identical
-/// to a from-scratch run by construction.
-#[derive(Clone, Debug, Default)]
-pub struct LegalizeReplay {
-    /// Last pass's decisions, in processing (widest-first) order.
-    entries: Vec<ReplayEntry>,
-    /// Last pass's static occupancy spans per row (sorted).
-    static_rows: BTreeMap<usize, Vec<(Dbu, Dbu)>>,
-    /// Whether the cache holds a complete pass result.
-    primed: bool,
-}
-
 /// Free-interval bookkeeping for one row: sorted, disjoint occupied spans.
 #[derive(Clone, Debug, Default)]
 struct RowOccupancy {
@@ -284,25 +224,6 @@ pub fn legalize(
     grid: &PlacementGrid,
     movable: &[InstId],
 ) -> Result<LegalizeReport, LegalizeError> {
-    legalize_with_replay(design, grid, movable, None)
-}
-
-/// [`legalize`] with an optional cross-pass [`LegalizeReplay`] cache:
-/// movables whose cached decision is provably unaffected by this pass's
-/// occupancy changes skip their gap search entirely (their probed rows are
-/// counted into `place.legalize.rows_skipped` instead of re-probed). The
-/// placed result, the [`LegalizeReport`], and the displacement histogram
-/// are byte-identical to a replay-free run; only the work counters shrink.
-///
-/// # Errors
-///
-/// As [`legalize`].
-pub fn legalize_with_replay(
-    design: &mut Design,
-    grid: &PlacementGrid,
-    movable: &[InstId],
-    replay: Option<&mut LegalizeReplay>,
-) -> Result<LegalizeReport, LegalizeError> {
     let movable_set: BTreeSet<InstId> = movable.iter().copied().collect();
 
     // Occupancy from all fixed (non-movable) placed instances.
@@ -321,55 +242,13 @@ pub fn legalize_with_replay(
     for occ in rows.values_mut() {
         occ.spans.sort_unstable();
     }
-    let static_snapshot: BTreeMap<usize, Vec<(Dbu, Dbu)>> = rows
-        .iter()
-        .map(|(&row, occ)| (row, occ.spans.clone()))
-        .collect();
 
     // Widest cells first.
     let mut order: Vec<InstId> = movable.to_vec();
     order.sort_by_key(|&id| std::cmp::Reverse(design.inst(id).width));
-    let key_of = |inst: &mbr_netlist::Instance| -> PlacementKey {
-        let rows_spanned = ((inst.height + grid.row_height - 1) / grid.row_height).max(1) as usize;
-        (inst.loc.x, inst.loc.y, inst.width, rows_spanned)
-    };
-    let movable_keys: BTreeSet<PlacementKey> =
-        order.iter().map(|&id| key_of(design.inst(id))).collect();
 
-    // Seed the dirty-row set from the static occupancy diff: a row whose
-    // blockage spans changed (or appeared/vanished) invalidates any cached
-    // decision that read it.
-    let cached: &[ReplayEntry] = match replay.as_deref() {
-        Some(r) if r.primed => &r.entries,
-        _ => &[],
-    };
-    let mut dirty: BTreeSet<usize> = BTreeSet::new();
-    // Replay alignment breaks when this pass's processing order interleaves
-    // cached movables differently than the cached pass; from that point on
-    // "the state at the corresponding cached step" is undefined, so the
-    // rest of the pass searches genuinely.
-    let mut broken = cached.is_empty();
-    if let Some(r) = replay.as_deref() {
-        if r.primed {
-            for (row, spans) in &static_snapshot {
-                if r.static_rows.get(row) != Some(spans) {
-                    dirty.insert(*row);
-                }
-            }
-            for row in r.static_rows.keys() {
-                if !static_snapshot.contains_key(row) {
-                    dirty.insert(*row);
-                }
-            }
-        }
-    }
-
-    let cached_keys: BTreeSet<PlacementKey> = cached.iter().map(|e| e.key()).collect();
-    let mut cursor = 0usize;
-    let mut new_entries: Vec<ReplayEntry> = Vec::with_capacity(order.len());
     let mut report = LegalizeReport::default();
     let mut probes = 0u64;
-    let mut rows_skipped = 0u64;
     let mut displacements = HistogramData::new();
     let num_rows = grid.num_rows();
     for id in order {
@@ -383,123 +262,58 @@ pub fn legalize_with_replay(
         let target = inst.loc;
         let home_row = grid.nearest_row(target.y);
         let rows_spanned = ((inst.height + grid.row_height - 1) / grid.row_height).max(1) as usize;
-        let key: PlacementKey = (target.x, target.y, w, rows_spanned);
 
-        // Align the cursor with the cached processing order: cached
-        // movables that no longer exist contributed occupancy last pass
-        // that is absent now, so their placed rows are dirty.
-        let mut prior: Option<&ReplayEntry> = None;
-        if !broken {
-            while cursor < cached.len() && !movable_keys.contains(&cached[cursor].key()) {
-                for row in cached[cursor].placed_rows(grid) {
-                    dirty.insert(row);
-                }
-                cursor += 1;
-            }
-            match cached.get(cursor) {
-                Some(entry) if entry.key() == key => {
-                    prior = Some(entry);
-                    cursor += 1;
-                }
-                // A movable the cached pass never placed: an insertion.
-                // The cursor stays on the cached entry (it aligns with a
-                // later movable); the landing dirt below covers the new
-                // occupancy this cell adds.
-                Some(_) if !cached_keys.contains(&key) => {}
-                // The movable at this position is some *other* cached
-                // movable: the order interleaved differently, and "the
-                // corresponding cached step" is undefined from here on.
-                Some(_) => broken = true,
-                None => {}
-            }
-        }
-
-        // A key match already pins target, width and row span; only the
-        // probed rows' occupancy can still differ.
-        let hit = prior.is_some_and(|e| e.probed_rows.iter().all(|row| !dirty.contains(row)));
-        let (new_loc, cost, probed) = if let Some(entry) = prior.filter(|_| hit) {
-            // Clean probed rows: the outward search reads exactly their
-            // occupancy, so it would land precisely where it did before.
-            rows_skipped += entry.probed_rows.len() as u64;
-            let cost = (entry.final_loc.x - target.x).abs() + (entry.final_loc.y - target.y).abs();
-            (entry.final_loc, cost, entry.probed_rows.clone())
-        } else {
-            // Search rows outward from the target row.
-            let mut probed: Vec<usize> = Vec::new();
-            let mut best: Option<(Dbu, usize, Dbu)> = None; // (cost, row, x)
-            for dist in 0..num_rows {
-                // Cost of just the row offset already exceeds the incumbent:
-                // stop expanding.
-                if let Some((cost, _, _)) = best {
-                    if grid.row_height * dist as Dbu > cost {
-                        break;
-                    }
-                }
-                let candidates = if dist == 0 {
-                    vec![home_row]
-                } else {
-                    let mut v = Vec::new();
-                    if home_row >= dist {
-                        v.push(home_row - dist);
-                    }
-                    if home_row + dist < num_rows {
-                        v.push(home_row + dist);
-                    }
-                    v
-                };
-                for row in candidates {
-                    if row + rows_spanned > num_rows {
-                        continue;
-                    }
-                    probed.extend(row..row + rows_spanned);
-                    // Multi-row cells must find a gap free in all spanned
-                    // rows; handled by intersecting searches row by row
-                    // (cells in this library are single-row, so the common
-                    // case is trivial).
-                    let x = if rows_spanned == 1 {
-                        rows.entry(row)
-                            .or_default()
-                            .nearest_gap(grid, target.x, w, &mut probes)
-                    } else {
-                        multi_row_gap(&mut rows, row, rows_spanned, grid, target.x, w, &mut probes)
-                    };
-                    if let Some(x) = x {
-                        let y = grid.row_y(row);
-                        let cost = (x - target.x).abs() + (y - target.y).abs();
-                        if best.is_none_or(|(c, _, _)| cost < c) {
-                            best = Some((cost, row, x));
-                        }
-                    }
+        // Search rows outward from the target row.
+        let mut best: Option<(Dbu, usize, Dbu)> = None; // (cost, row, x)
+        for dist in 0..num_rows {
+            // Cost of just the row offset already exceeds the incumbent:
+            // stop expanding.
+            if let Some((cost, _, _)) = best {
+                if grid.row_height * dist as Dbu > cost {
+                    break;
                 }
             }
-            let Some((cost, row, x)) = best else {
-                return Err(LegalizeError::NoRoom {
-                    inst: design.inst(id).name.clone(),
-                });
+            let candidates = if dist == 0 {
+                vec![home_row]
+            } else {
+                let mut v = Vec::new();
+                if home_row >= dist {
+                    v.push(home_row - dist);
+                }
+                if home_row + dist < num_rows {
+                    v.push(home_row + dist);
+                }
+                v
             };
-            probed.sort_unstable();
-            probed.dedup();
-            (Point::new(x, grid.row_y(row)), cost, probed)
-        };
-
-        // Dirty bookkeeping for the movables still to come: a landing that
-        // differs from the cached pass (in place or span) changes both the
-        // old and the new rows' occupancy relative to that pass; a movable
-        // the cache never saw adds occupancy the cached pass lacked.
-        if !broken && !hit {
-            let same = prior.is_some_and(|e| e.final_loc == new_loc);
-            if !same {
-                if let Some(entry) = prior {
-                    for row in entry.placed_rows(grid) {
-                        dirty.insert(row);
-                    }
+            for row in candidates {
+                if row + rows_spanned > num_rows {
+                    continue;
                 }
-                let row = grid.nearest_row(new_loc.y);
-                for r in row..row + rows_spanned {
-                    dirty.insert(r);
+                // Multi-row cells must find a gap free in all spanned rows;
+                // handled by intersecting searches row by row (cells in this
+                // library are single-row, so the common case is trivial).
+                let x = if rows_spanned == 1 {
+                    rows.entry(row)
+                        .or_default()
+                        .nearest_gap(grid, target.x, w, &mut probes)
+                } else {
+                    multi_row_gap(&mut rows, row, rows_spanned, grid, target.x, w, &mut probes)
+                };
+                if let Some(x) = x {
+                    let y = grid.row_y(row);
+                    let cost = (x - target.x).abs() + (y - target.y).abs();
+                    if best.is_none_or(|(c, _, _)| cost < c) {
+                        best = Some((cost, row, x));
+                    }
                 }
             }
         }
+        let Some((cost, row, x)) = best else {
+            return Err(LegalizeError::NoRoom {
+                inst: design.inst(id).name.clone(),
+            });
+        };
+        let new_loc = Point::new(x, grid.row_y(row));
 
         if new_loc != target {
             report.moved += 1;
@@ -510,26 +324,12 @@ pub fn legalize_with_replay(
         // distinguishes "mostly in place" from "everything shoved".
         displacements.record(cost.unsigned_abs());
         design.inst_mut(id).loc = new_loc;
-        let row = grid.nearest_row(new_loc.y);
         for rr in row..row + rows_spanned {
             let occ = rows.entry(rr).or_default();
             occ.insert(new_loc.x, new_loc.x + w);
         }
-        new_entries.push(ReplayEntry {
-            target,
-            width: w,
-            rows_spanned,
-            final_loc: new_loc,
-            probed_rows: probed,
-        });
-    }
-    if let Some(r) = replay {
-        r.entries = new_entries;
-        r.static_rows = static_snapshot;
-        r.primed = true;
     }
     obs::counter(Counter::LegalizeGapProbes, probes);
-    obs::counter(Counter::LegalizeRowsSkipped, rows_skipped);
     obs::counter(Counter::LegalizeCellsMoved, report.moved as u64);
     obs::histogram(Histogram::LegalizeDisplacement, &displacements);
     if report.moved > 0 {

@@ -69,17 +69,6 @@ impl ArcArena {
     }
 }
 
-/// What an incremental update actually changed, reported by
-/// [`Sta::update_after_change`]. Callers that maintain state derived from
-/// timing (e.g. a composition session's compatibility cache) use this to
-/// narrow their own refresh; callers that only read the fresh report may
-/// ignore it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StaDelta {
-    /// Pins whose arrival and/or required time changed, sorted, deduped.
-    pub changed_pins: Vec<PinId>,
-}
-
 /// What a pin's net arcs and load were last computed from: its absolute
 /// position and the bits of its capacitance. A touched pin whose basis
 /// still matches the design cannot have changed anything on its net.
@@ -351,9 +340,8 @@ impl Sta {
         let n = self.pin_count();
         let seeds: Vec<usize> = (0..n).collect();
         obs::counter(Counter::StaFullSeedPins, n as u64);
-        let mut changed = Vec::new();
-        self.propagate_arrivals(&seeds, &mut changed);
-        self.propagate_required(&seeds, &mut changed);
+        self.propagate_arrivals(&seeds);
+        self.propagate_required(&seeds);
         // Seeding every pin grew the worklist to the whole design; the
         // incremental updates it is kept for need a cone's worth.
         self.scratch.queue.shrink_to_fit();
@@ -362,8 +350,7 @@ impl Sta {
 
     /// Recomputes arrivals for (at least) the given seed pins and everything
     /// downstream of a change, by monotone worklist relaxation on the DAG.
-    /// Every pin whose arrival actually changed is pushed onto `changed`.
-    fn propagate_arrivals(&mut self, seeds: &[usize], changed: &mut Vec<usize>) {
+    fn propagate_arrivals(&mut self, seeds: &[usize]) {
         let Scratch { queue, queued, .. } = &mut self.scratch;
         queue.extend(seeds.iter().copied());
         for &s in seeds {
@@ -387,7 +374,6 @@ impl Sta {
             // batch-equivalence guarantee rests on. (NEG_INFINITY compares
             // equal to itself here, so untimed pins don't loop.)
             if arr != self.report.arrival[v] {
-                changed.push(v);
                 self.report.arrival[v] = arr;
                 for slot in self.fwd.range(v) {
                     let t = self.fwd.to[slot] as usize;
@@ -401,7 +387,7 @@ impl Sta {
     }
 
     /// Required-time mirror of [`Sta::propagate_arrivals`].
-    fn propagate_required(&mut self, seeds: &[usize], changed: &mut Vec<usize>) {
+    fn propagate_required(&mut self, seeds: &[usize]) {
         let Scratch { queue, queued, .. } = &mut self.scratch;
         queue.extend(seeds.iter().copied());
         for &s in seeds {
@@ -418,7 +404,6 @@ impl Sta {
             }
             // Exact comparison — see the arrival mirror for why.
             if req != self.report.required[v] {
-                changed.push(v);
                 self.report.required[v] = req;
                 for slot in self.rev.range(v) {
                     let t = self.rev.to[slot] as usize;
@@ -452,12 +437,7 @@ impl Sta {
     ///
     /// Panics if the design's pin count differs from the graph (structural
     /// edit happened).
-    pub fn update_after_change(
-        &mut self,
-        design: &Design,
-        lib: &Library,
-        touched: &[InstId],
-    ) -> StaDelta {
+    pub fn update_after_change(&mut self, design: &Design, lib: &Library, touched: &[InstId]) {
         assert_eq!(
             design.pin_count(),
             self.pin_count(),
@@ -513,16 +493,10 @@ impl Sta {
         obs::counter(Counter::StaNetsTouched, net_refreshes);
         obs::counter(Counter::StaSeedPins, seeds.len() as u64);
         obs::observe(Histogram::StaSeedPinsPerUpdate, seeds.len() as u64);
-        let mut changed = Vec::new();
-        self.propagate_arrivals(&seeds, &mut changed);
-        self.propagate_required(&seeds, &mut changed);
+        self.propagate_arrivals(&seeds);
+        self.propagate_required(&seeds);
         self.scratch.seeds = seeds;
         self.report.refresh_summary();
-        changed.sort_unstable();
-        changed.dedup();
-        StaDelta {
-            changed_pins: changed.into_iter().map(PinId::from_index).collect(),
-        }
     }
 
     /// Recomputes the arcs and driver load of `net` from the design and

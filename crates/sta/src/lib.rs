@@ -48,7 +48,7 @@
 mod engine;
 mod report;
 
-pub use engine::{Sta, StaDelta, StaError, TimingPath};
+pub use engine::{Sta, StaError, TimingPath};
 pub use report::{SkewWindow, TimingReport};
 
 /// Linear delay model parameters. Units: ps, fF, kΩ, DBU (kΩ · fF = ps).

@@ -5,8 +5,7 @@
 //! produces — *bitwise* the same arrivals, requireds, slacks, TNS, and
 //! failing-endpoint count at every pin. The composition session's
 //! batch-equivalence guarantee builds on this exactness, so the comparison
-//! is `==`, not an epsilon. The reported [`mbr_sta::StaDelta`] must also
-//! name exactly the pins whose values moved.
+//! is `==`, not an epsilon.
 
 use std::sync::Arc;
 
@@ -96,28 +95,6 @@ fn assert_matches_full(sta: &Sta, design: &Design, lib: &Library, model: DelayMo
     );
 }
 
-/// Runs one update and checks that its delta names every pin whose arrival
-/// or required time moved.
-fn update_checked(sta: &mut Sta, design: &Design, lib: &Library, touched: &[InstId], at: &str) {
-    let pins: Vec<_> = design
-        .live_insts()
-        .flat_map(|(_, inst)| inst.pins.clone())
-        .collect();
-    let before: Vec<(Option<f64>, Option<f64>)> = pins
-        .iter()
-        .map(|&p| (sta.report().arrival(p), sta.report().required(p)))
-        .collect();
-    let delta = sta.update_after_change(design, lib, touched);
-    for (&p, &(arr, req)) in pins.iter().zip(&before) {
-        if sta.report().arrival(p) != arr || sta.report().required(p) != req {
-            assert!(
-                delta.changed_pins.contains(&p),
-                "{at}: pin {p} changed but is not in the delta"
-            );
-        }
-    }
-}
-
 /// One randomized edit session: `rounds` rounds of `edits_per_round` edits,
 /// checking the incremental report against a from-scratch analysis after
 /// every round.
@@ -153,7 +130,7 @@ fn run_session(seed: u64, rounds: usize, edits_per_round: usize) {
             touched.push(reg);
         }
         let at = format!("seed {seed:#x} round {round}");
-        update_checked(&mut sta, &design, &lib, &touched, &at);
+        sta.update_after_change(&design, &lib, &touched);
         assert_matches_full(&sta, &design, &lib, model, &at);
 
         // The useful-skew rollback: restore many offsets, then one bulk
@@ -162,7 +139,7 @@ fn run_session(seed: u64, rounds: usize, edits_per_round: usize) {
             skew(&mut design, reg, &mut rng);
         }
         let at = format!("{at} bulk offsets");
-        update_checked(&mut sta, &design, &lib, &regs, &at);
+        sta.update_after_change(&design, &lib, &regs);
         assert_matches_full(&sta, &design, &lib, model, &at);
     }
 }

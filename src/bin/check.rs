@@ -21,9 +21,11 @@
 //! Adding `--session-only` drops the batch arm and the comparison: the run
 //! is just open → ECO script → recompose, so an `MBR_TRACE` capture holds
 //! *only* the session's counters — the input `mbr-perfdiff --baseline
-//! PERF_baseline_incr.json` gates, pinning the reduced legalize/CTS work
-//! (`place.legalize.rows_skipped` > 0 et al.) against regression to
-//! full-pass behavior.
+//! PERF_baseline_incr.json` gates. It pins the reduced timing and
+//! enumeration work (`sta.incremental.seed_pins`,
+//! `core.candidates.subsets_visited`) and the reuse
+//! (`core.session.{partitions_reused, placements_reused}`) against
+//! regression to full-pass behavior.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;

@@ -138,14 +138,13 @@ fn structural_ecos_match_batch_too() {
     assert_differential(&spec, &script);
 }
 
-/// The dirty-region payoff, preset by preset: an incremental recompose must
-/// *do* strictly less legalization and skew work than the equivalent batch
-/// run (whose byte-identical result `recompose_matches_batch_on_every_preset`
-/// already proves) — fewer gap probes and fewer freshly computed skew
-/// adjustments, with the replayed work showing up in the skip counters that
-/// batch runs report as zero.
+/// What a session reuses, preset by preset. After the same ECO script, an
+/// incremental recompose must do exactly batch's compatibility,
+/// legalization and useful-skew work (those stages run the batch code every
+/// pass), strictly less timing seeding and candidate enumeration, and it
+/// must reuse partitions and placement corners, which batch never does.
 #[test]
-fn recompose_does_strictly_less_legalize_and_skew_work_than_batch() {
+fn recompose_reuses_only_the_stages_that_pay() {
     for spec in all_presets() {
         let lib = standard_library();
         let design = spec.generate(&lib);
@@ -179,49 +178,46 @@ fn recompose_does_strictly_less_legalize_and_skew_work_than_batch() {
             totals.get(key).copied().unwrap_or(0)
         };
 
-        // Legalization: the replay skips rows (batch never does) and every
-        // skipped row is a gap search not re-probed.
-        let rows_skipped = get(&incr, "place.legalize.rows_skipped");
+        for key in [
+            "core.compat.registers",
+            "core.compat.edges",
+            "place.legalize.gap_probes",
+            "place.legalize.cells_moved",
+            "cts.skew.adjusted",
+        ] {
+            assert_eq!(
+                get(&incr, key),
+                get(&batch, key),
+                "{}: {key} differs from batch",
+                spec.name
+            );
+        }
+
+        let seed_pins =
+            |totals| get(totals, "sta.full.seed_pins") + get(totals, "sta.incremental.seed_pins");
         assert!(
-            rows_skipped > 0,
-            "{}: incremental legalize replayed nothing",
-            spec.name
-        );
-        assert_eq!(
-            get(&batch, "place.legalize.rows_skipped"),
-            0,
-            "{}: batch legalize must not skip rows",
-            spec.name
-        );
-        assert!(
-            get(&incr, "place.legalize.gap_probes") < get(&batch, "place.legalize.gap_probes"),
-            "{}: incremental gap probes {} not below batch {}",
+            seed_pins(&incr) < seed_pins(&batch),
+            "{}: session seeded {} timing pins, batch {}",
             spec.name,
-            get(&incr, "place.legalize.gap_probes"),
-            get(&batch, "place.legalize.gap_probes"),
+            seed_pins(&incr),
+            seed_pins(&batch)
+        );
+        let visited = "core.candidates.subsets_visited";
+        assert!(
+            get(&incr, visited) < get(&batch, visited),
+            "{}: session visited {} subsets, batch {}",
+            spec.name,
+            get(&incr, visited),
+            get(&batch, visited)
         );
 
-        // Skew: replayed sink decisions (batch: zero) shrink the *computed*
-        // adjustment counter while the reported SkewReport stays identical.
-        let sinks_skipped = get(&incr, "cts.skew.sinks_skipped");
-        assert!(
-            sinks_skipped > 0,
-            "{}: incremental skew replayed nothing",
-            spec.name
-        );
-        assert_eq!(
-            get(&batch, "cts.skew.sinks_skipped"),
-            0,
-            "{}: batch skew must not skip sinks",
-            spec.name
-        );
-        assert!(
-            get(&incr, "cts.skew.adjusted") < get(&batch, "cts.skew.adjusted"),
-            "{}: incremental skew adjustments {} not below batch {}",
-            spec.name,
-            get(&incr, "cts.skew.adjusted"),
-            get(&batch, "cts.skew.adjusted"),
-        );
+        for key in [
+            "core.session.partitions_reused",
+            "core.session.placements_reused",
+        ] {
+            assert!(get(&incr, key) > 0, "{}: session {key} is 0", spec.name);
+            assert_eq!(get(&batch, key), 0, "{}: batch {key} is not 0", spec.name);
+        }
     }
 }
 

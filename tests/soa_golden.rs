@@ -5,8 +5,8 @@
 //! counter, and the trace event *sequence* must hash to exactly the
 //! values captured on the pointer/BTreeMap implementation.
 //!
-//! New observability added by later work (e.g. `place.legalize.rows_skipped`,
-//! `cts.skew.sinks_skipped`) is excluded via the [`LEGACY_COUNTERS`]
+//! New observability added by later work (e.g. `core.candidates.polygons`,
+//! `core.session.placements_reused`) is excluded via the [`LEGACY_COUNTERS`]
 //! whitelist by design — the contract is that the *pre-existing* observable
 //! behavior is byte-identical, while new counters may appear alongside it.
 //!
