@@ -27,7 +27,7 @@ fn main() {
             let r = sta.report();
             row.push(format!(
                 "{:.0}%",
-                100.0 * r.failing_endpoints as f64 / r.endpoints().len() as f64
+                100.0 * r.failing_endpoints() as f64 / r.endpoints().len() as f64
             ));
         }
         table.row(row);

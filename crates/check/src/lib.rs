@@ -21,8 +21,8 @@
 //!   row/site grid and overlap nothing,
 //! * [`check_scan`] — stitched scan chains visit exactly the expected
 //!   registers with intact SO→SI connectivity and ordered sections in order,
-//! * [`check_sta`] — incrementally maintained arrivals/slacks match a fresh
-//!   full analysis within epsilon.
+//! * [`check_sta`] — incrementally maintained arrivals, required times and
+//!   the WNS/TNS/failing-count summary match a fresh full analysis.
 //!
 //! The composition flow runs these as checkpoints after each stage,
 //! controlled by a [`Paranoia`] level; `cargo run --bin check` runs a full
@@ -348,6 +348,14 @@ pub enum Diagnostic {
         /// The fresh value, ps.
         full: f64,
     },
+    /// The incrementally maintained WNS or TNS drifted from a fresh full
+    /// analysis beyond epsilon, or the failing-endpoint count differs.
+    StaSummaryDrift {
+        /// The incremental `(WNS ps, TNS ps, failing endpoints)`.
+        incremental: (f64, f64, usize),
+        /// The fresh `(WNS ps, TNS ps, failing endpoints)`.
+        full: (f64, f64, usize),
+    },
     /// The design no longer admits a timing analysis at all.
     StaBroken {
         /// The analysis error.
@@ -394,6 +402,7 @@ impl Diagnostic {
             | Diagnostic::ScanOrderViolation { .. } => Stage::Scan,
             Diagnostic::StaStale { .. }
             | Diagnostic::StaDrift { .. }
+            | Diagnostic::StaSummaryDrift { .. }
             | Diagnostic::StaBroken { .. } => Stage::Timing,
         }
     }
@@ -507,6 +516,12 @@ impl fmt::Display for Diagnostic {
             } => write!(
                 f,
                 "{pin} {quantity} drifted: incremental {incremental:.6} vs full {full:.6} ps"
+            ),
+            Diagnostic::StaSummaryDrift { incremental, full } => write!(
+                f,
+                "timing summary drifted: incremental WNS {:.6} ps, TNS {:.6} ps, \
+                 {} failing vs full {:.6} ps, {:.6} ps, {} failing",
+                incremental.0, incremental.1, incremental.2, full.0, full.1, full.2
             ),
             Diagnostic::StaBroken { message } => {
                 write!(f, "design no longer analyzes: {message}")

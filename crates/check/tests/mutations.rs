@@ -589,9 +589,15 @@ fn mutation_sta_drift() {
     // wire delay changes, so a fresh analysis disagrees.
     d.inst_mut(regs[0]).loc.x += 20_000;
     let diags = check_sta(&d, &lib, &sta, STA_EPSILON);
-    assert!(!diags.is_empty());
+    // The move shifts WNS too; `mutation_sta_summary_drift` pins that
+    // diagnostic on its own.
+    let (summary, endpoint): (Vec<_>, Vec<_>) = diags
+        .iter()
+        .partition(|x| matches!(x, Diagnostic::StaSummaryDrift { .. }));
+    assert_eq!(summary.len(), 1, "{diags:?}");
+    assert!(!endpoint.is_empty());
     assert!(
-        diags.iter().all(|x| matches!(
+        endpoint.iter().all(|x| matches!(
             x,
             Diagnostic::StaDrift {
                 quantity: StaQuantity::Arrival,
@@ -599,6 +605,57 @@ fn mutation_sta_drift() {
             }
         )),
         "{diags:?}"
+    );
+}
+
+#[test]
+fn mutation_sta_summary_drift() {
+    let lib = standard_library();
+    let (mut d, regs) = base_fixture(&lib);
+    // A period every endpoint fails, so each endpoint's drift adds to TNS.
+    let model = DelayModel {
+        clock_period: 1.0,
+        ..DelayModel::default()
+    };
+    let sta = Sta::new(&d, &lib, model).expect("analyzable");
+    let stale = (
+        sta.report().wns(),
+        sta.report().tns(),
+        sta.report().failing_endpoints(),
+    );
+    // Planted staleness: a register moves after the analysis and no update
+    // runs.
+    d.inst_mut(regs[0]).loc.x += 20_000;
+    let fresh = Sta::new(&d, &lib, model).expect("analyzable");
+    let full = (
+        fresh.report().wns(),
+        fresh.report().tns(),
+        fresh.report().failing_endpoints(),
+    );
+    // A tolerance above every endpoint's drift but below the TNS drift
+    // leaves the summary as the only thing that disagrees.
+    let endpoint_drift = fresh
+        .report()
+        .endpoints()
+        .iter()
+        .map(|&ep| {
+            let (a, b) = (sta.report().arrival(ep), fresh.report().arrival(ep));
+            (a.expect("timed") - b.expect("timed")).abs()
+        })
+        .fold(0.0, f64::max);
+    let tns_drift = (stale.1 - full.1).abs();
+    assert!(
+        tns_drift > endpoint_drift,
+        "{tns_drift} vs {endpoint_drift}"
+    );
+    let epsilon = 0.5 * (endpoint_drift + tns_drift);
+    let diags = check_sta(&d, &lib, &sta, epsilon);
+    assert_eq!(
+        diags,
+        vec![Diagnostic::StaSummaryDrift {
+            incremental: stale,
+            full,
+        }]
     );
 }
 

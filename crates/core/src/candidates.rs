@@ -7,7 +7,8 @@
 //! rounds up to one under the area rule — becomes a candidate, weighted by
 //! the Section 3.2 blocking heuristic.
 
-use mbr_arena::U64Set;
+use std::sync::Arc;
+
 use mbr_geom::{Point, Rect};
 use mbr_graph::{partition_geometric, BitGraph, SubcliqueStep};
 use mbr_liberty::{CellId, Library, ScanStyle};
@@ -17,6 +18,7 @@ use mbr_obs::{self as obs, Counter, Gauge, Histogram, HistogramData};
 use crate::compat::CompatGraph;
 use crate::stages::assign::Selection;
 use crate::stages::candidates::Enumeration;
+use crate::u64set::U64Set;
 use crate::weight::{candidate_weight, BlockerIndex, RegisterIndex};
 use crate::ComposerOptions;
 
@@ -114,7 +116,7 @@ pub fn enumerate_candidates(
     );
     obs::histogram(
         Histogram::CandidatesPerPartition,
-        &candidate_size_hist(&sets),
+        &candidate_size_hist(sets.iter()),
     );
     sets
 }
@@ -147,7 +149,7 @@ impl PartitionWork {
 
 /// The per-partition candidate-count distribution, flushed on the main
 /// thread so it is identical at every thread count.
-fn candidate_size_hist(sets: &[CandidateSet]) -> HistogramData {
+fn candidate_size_hist<'a>(sets: impl Iterator<Item = &'a CandidateSet>) -> HistogramData {
     let mut hist = HistogramData::new();
     for set in sets {
         hist.record(set.candidates.len() as u64);
@@ -227,8 +229,8 @@ fn enumerate_partition(ctx: &EnumCtx<'_>, part: &[usize]) -> (CandidateSet, Part
         .use_blocking_weights
         .then(|| BlockerIndex::build(design, index, &elements, max_bits));
 
-    // Membership-only bitmask dedup on the hot subclique walk; the arena
-    // set's fixed hashing keeps it off the D1 (HashMap/HashSet) ban list.
+    // Membership-only bitmask dedup on the hot subclique walk; `U64Set`'s
+    // fixed hashing keeps it off the D1 (HashMap/HashSet) ban list.
     let mut seen = U64Set::new();
     let cap = options.max_candidates_per_partition;
     // Dense partitions (e.g. fields of decomposed 1-bit registers) reject
@@ -435,13 +437,14 @@ fn validate_candidate(
 }
 
 /// One memoized partition: its content key, the pass that last used it,
-/// its candidate set and the raw assignment solution computed for it
-/// (selected candidate indices and branch-and-bound nodes).
+/// its candidate set (shared with the passes that reuse it) and the raw
+/// assignment solution computed for it (selected candidate indices and
+/// branch-and-bound nodes).
 #[derive(Clone, Debug)]
 struct MemoSlot {
     key: Vec<u64>,
     last_used: u64,
-    set: CandidateSet,
+    set: Arc<CandidateSet>,
     solve: (Vec<usize>, u64),
 }
 
@@ -538,14 +541,13 @@ impl PartitionCache {
             .map(|offset| start + offset)
     }
 
-    /// Looks up a partition by content key; a hit re-stamps the slot and
-    /// clones out the memoized candidate set and solution.
-    fn lookup(&mut self, key: &[u64]) -> Option<(CandidateSet, (Vec<usize>, u64))> {
+    /// Looks up a partition by content key; a hit re-stamps the slot.
+    fn lookup(&mut self, key: &[u64]) -> Option<&MemoSlot> {
         let pos = self.find(memo_key_hash(key), key)?;
         let slot = self.index[pos].1 as usize;
         let memo = self.slots[slot].as_mut()?;
         memo.last_used = self.pass;
-        Some((memo.set.clone(), memo.solve.clone()))
+        Some(memo)
     }
 
     /// Stores the freshly enumerated partitions of a pass, together with
@@ -558,7 +560,7 @@ impl PartitionCache {
                 let memo = MemoSlot {
                     key: key.clone(),
                     last_used: self.pass,
-                    set: enumeration.sets[*set_idx].clone(),
+                    set: Arc::clone(&enumeration.sets[*set_idx]),
                     solve: solve.clone(),
                 };
                 let hash = memo_key_hash(key);
@@ -678,14 +680,14 @@ pub(crate) fn enumerate_incremental(
         .collect();
 
     cache.begin_pass();
-    let mut sets: Vec<Option<CandidateSet>> = vec![None; partitions.len()];
+    let mut sets: Vec<Option<Arc<CandidateSet>>> = vec![None; partitions.len()];
     let mut reused: Vec<Option<(Vec<usize>, u64)>> = vec![None; partitions.len()];
     let mut fresh_work: Vec<(usize, &Vec<usize>)> = Vec::new();
     for (i, key) in keys.iter().enumerate() {
         match cache.lookup(key) {
-            Some((set, solve)) => {
-                sets[i] = Some(set);
-                reused[i] = Some(solve);
+            Some(memo) => {
+                sets[i] = Some(Arc::clone(&memo.set));
+                reused[i] = Some(memo.solve.clone());
             }
             None => fresh_work.push((i, &partitions[i])),
         }
@@ -711,7 +713,7 @@ pub(crate) fn enumerate_incremental(
         work.add(&w);
         enumerated_fresh += set.candidates.len() as u64;
         fresh.push((i, keys[i].clone()));
-        sets[i] = Some(set);
+        sets[i] = Some(Arc::new(set));
     }
     let hits = (partitions.len() - fresh.len()) as u64;
     obs::counter(Counter::CandidatePartitions, partitions.len() as u64);
@@ -720,7 +722,7 @@ pub(crate) fn enumerate_incremental(
     obs::counter(Counter::SessionPartitionsReused, hits);
     obs::counter(Counter::SessionPartitionsRecomputed, fresh.len() as u64);
 
-    let sets: Vec<CandidateSet> = sets
+    let sets: Vec<Arc<CandidateSet>> = sets
         .into_iter()
         .map(|s| s.expect("every partition is either cached or fresh"))
         .collect();
@@ -728,7 +730,7 @@ pub(crate) fn enumerate_incremental(
     // workload the assignment stage is about to see.
     obs::histogram(
         Histogram::CandidatesPerPartition,
-        &candidate_size_hist(&sets),
+        &candidate_size_hist(sets.iter().map(|s| &**s)),
     );
     Enumeration {
         sets,

@@ -19,13 +19,10 @@
 //!   negative-D/positive-Q), slack magnitudes within a similarity bound,
 //!   and overlapping useful-skew windows.
 
-use std::collections::BTreeMap;
-
-use mbr_arena::U64Set;
 use mbr_geom::{Point, Rect};
 use mbr_graph::UnGraph;
 use mbr_liberty::{ClassId, Library};
-use mbr_netlist::{Design, InstId, InstKind};
+use mbr_netlist::{Design, InstId, InstKind, NetId};
 use mbr_obs::{self as obs, Counter};
 use mbr_sta::{SkewWindow, Sta};
 
@@ -72,9 +69,12 @@ pub struct CompatGraph {
 impl CompatGraph {
     /// Builds the compatibility graph for a placed, analyzed design.
     ///
-    /// Pairwise checks are restricted to registers whose feasible-region
-    /// bounding boxes can overlap, via a uniform spatial hash — the full
-    /// quadratic check would dominate runtime on real designs.
+    /// The functional and scan rules are equality tests, so registers are
+    /// grouped by the attributes those rules compare, and only same-group
+    /// pairs whose regions overlap in x reach the placement and timing
+    /// predicates: each group is swept in order of region `lo.x`, and a
+    /// register stops scanning at the first later region that starts right
+    /// of its own.
     pub fn build(
         design: &Design,
         lib: &Library,
@@ -82,44 +82,7 @@ impl CompatGraph {
         options: &ComposerOptions,
     ) -> CompatGraph {
         let regs = collect_composable(design, lib, sta, options);
-        let n = regs.len();
-        let mut graph = UnGraph::new(n);
-
-        // Spatial hash over region bounding boxes.
-        let cell_size: i64 = 40_000; // 40 µm buckets
-        let mut buckets: BTreeMap<(i64, i64), Vec<usize>> = BTreeMap::new();
-        let bucket_of = |p: Point| (p.x.div_euclid(cell_size), p.y.div_euclid(cell_size));
-        for (i, reg) in regs.iter().enumerate() {
-            let lo = bucket_of(reg.region.lo());
-            let hi = bucket_of(reg.region.hi());
-            for bx in lo.0..=hi.0 {
-                for by in lo.1..=hi.1 {
-                    buckets.entry((bx, by)).or_default().push(i);
-                }
-            }
-        }
-
-        let mut checked = U64Set::new();
-        let mut removed = 0u64;
-        for bucket in buckets.values() {
-            for (k, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[k + 1..] {
-                    if !checked.insert(pair_key(i.min(j), i.max(j))) {
-                        continue;
-                    }
-                    if compatible(design, &regs[i], &regs[j]) {
-                        if options.prune_compat_edges && !width_sum_selectable(&regs[i], &regs[j]) {
-                            removed += 1;
-                        } else {
-                            graph.add_edge(i, j);
-                        }
-                    }
-                }
-            }
-        }
-        obs::counter(Counter::CompatRegisters, regs.len() as u64);
-        obs::counter(Counter::CompatEdges, graph.edge_count() as u64);
-        obs::counter(Counter::CompatEdgesRemoved, removed);
+        let graph = connect(design, &regs, options.prune_compat_edges);
         CompatGraph { regs, graph }
     }
 
@@ -127,6 +90,80 @@ impl CompatGraph {
     pub fn clock_positions(&self) -> Vec<Point> {
         self.regs.iter().map(|r| r.clock_pos).collect()
     }
+}
+
+/// Everything the Section 2 functional and scan rules compare: two
+/// registers can be compatible only when their keys are equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct GroupKey {
+    class: ClassId,
+    clock: NetId,
+    gate_group: u32,
+    reset: Option<NetId>,
+    set: Option<NetId>,
+    enable: Option<NetId>,
+    scan_enable: Option<NetId>,
+    /// Scan partition and ordered section; `None` off-chain. On-chain
+    /// registers never merge with off-chain ones (that would need chain
+    /// surgery), and ordered-section members only within their section
+    /// (consecutiveness is a per-candidate check).
+    scan: Option<(u16, Option<u32>)>,
+}
+
+impl GroupKey {
+    fn of(design: &Design, reg: &ComposableRegister) -> GroupKey {
+        let attrs = design.inst(reg.inst).register_attrs().expect("register");
+        GroupKey {
+            class: reg.class,
+            clock: attrs.clock,
+            gate_group: attrs.gate_group,
+            reset: attrs.reset,
+            set: attrs.set,
+            enable: attrs.enable,
+            scan_enable: attrs.scan_enable,
+            scan: attrs
+                .scan
+                .map(|s| (s.partition, s.section.map(|(section, _)| section))),
+        }
+    }
+}
+
+/// The compatibility edges over `regs` by the key-grouped sweep (see
+/// [`CompatGraph::build`]); flushes the `core.compat.*` counters.
+fn connect(design: &Design, regs: &[ComposableRegister], prune: bool) -> UnGraph {
+    let mut graph = UnGraph::new(regs.len());
+    let mut order: Vec<(GroupKey, i64, usize)> = regs
+        .iter()
+        .enumerate()
+        .map(|(i, reg)| (GroupKey::of(design, reg), reg.region.lo().x, i))
+        .collect();
+    order.sort_unstable();
+    let mut pairs = 0u64;
+    let mut removed = 0u64;
+    for group in order.chunk_by(|a, b| a.0 == b.0) {
+        for (k, &(_, _, i)) in group.iter().enumerate() {
+            let hi_x = regs[i].region.hi().x;
+            for &(_, lo_x, j) in &group[k + 1..] {
+                if lo_x > hi_x {
+                    break;
+                }
+                pairs += 1;
+                let (a, b) = (&regs[i], &regs[j]);
+                if placement_compatible(a, b) && timing_compatible(a, b) {
+                    if prune && !width_sum_selectable(a, b) {
+                        removed += 1;
+                    } else {
+                        graph.add_edge(i, j);
+                    }
+                }
+            }
+        }
+    }
+    obs::counter(Counter::CompatRegisters, regs.len() as u64);
+    obs::counter(Counter::CompatPairsChecked, pairs);
+    obs::counter(Counter::CompatEdges, graph.edge_count() as u64);
+    obs::counter(Counter::CompatEdgesRemoved, removed);
+    graph
 }
 
 /// Collects the composable registers of a design (Table 1's "Comp-Regs"):
@@ -209,60 +246,6 @@ fn composable_entry(
     })
 }
 
-/// A node pair packed into one `u64` set key; callers normalize so
-/// `lo <= hi`.
-fn pair_key(lo: usize, hi: usize) -> u64 {
-    debug_assert!(lo <= hi && hi <= u32::MAX as usize);
-    ((lo as u64) << 32) | hi as u64
-}
-
-/// Full pairwise compatibility predicate (functional + scan + placement +
-/// timing).
-fn compatible(design: &Design, a: &ComposableRegister, b: &ComposableRegister) -> bool {
-    functionally_compatible(design, a, b)
-        && scan_compatible(design, a, b)
-        && placement_compatible(a, b)
-        && timing_compatible(a, b)
-}
-
-fn functionally_compatible(
-    design: &Design,
-    a: &ComposableRegister,
-    b: &ComposableRegister,
-) -> bool {
-    if a.class != b.class {
-        return false;
-    }
-    let aa = design.inst(a.inst).register_attrs().expect("register");
-    let bb = design.inst(b.inst).register_attrs().expect("register");
-    aa.clock == bb.clock
-        && aa.gate_group == bb.gate_group
-        && aa.reset == bb.reset
-        && aa.set == bb.set
-        && aa.enable == bb.enable
-        && aa.scan_enable == bb.scan_enable
-}
-
-fn scan_compatible(design: &Design, a: &ComposableRegister, b: &ComposableRegister) -> bool {
-    let aa = design.inst(a.inst).register_attrs().expect("register").scan;
-    let bb = design.inst(b.inst).register_attrs().expect("register").scan;
-    match (aa, bb) {
-        (None, None) => true,
-        (Some(x), Some(y)) => {
-            x.partition == y.partition
-                && match (x.section, y.section) {
-                    (None, None) => true,
-                    // Ordered-section members may only merge within their
-                    // section (consecutiveness is a per-candidate check).
-                    (Some((sx, _)), Some((sy, _))) => sx == sy,
-                    _ => false,
-                }
-        }
-        // On-chain with off-chain: would need chain surgery; incompatible.
-        _ => false,
-    }
-}
-
 fn placement_compatible(a: &ComposableRegister, b: &ComposableRegister) -> bool {
     a.region.intersects(&b.region)
 }
@@ -314,6 +297,8 @@ mod tests {
     use mbr_liberty::standard_library;
     use mbr_netlist::{PinKind, RegisterAttrs, ScanInfo};
     use mbr_sta::DelayModel;
+    use mbr_test::check::{any_u64, vec_of, Gen};
+    use mbr_test::{prop_assert, prop_assert_eq, props};
 
     fn die() -> Rect {
         Rect::new(Point::new(0, 0), Point::new(400_000, 400_000))
@@ -613,5 +598,226 @@ mod tests {
             f.design.inst(b).rect(),
             "region collapses to footprint"
         );
+    }
+
+    /// The all-pairs Section 2 predicate: the oracle the key-grouped sweep
+    /// must reproduce.
+    fn compatible(design: &Design, a: &ComposableRegister, b: &ComposableRegister) -> bool {
+        functionally_compatible(design, a, b)
+            && scan_compatible(design, a, b)
+            && placement_compatible(a, b)
+            && timing_compatible(a, b)
+    }
+
+    fn functionally_compatible(
+        design: &Design,
+        a: &ComposableRegister,
+        b: &ComposableRegister,
+    ) -> bool {
+        let aa = design.inst(a.inst).register_attrs().expect("register");
+        let bb = design.inst(b.inst).register_attrs().expect("register");
+        a.class == b.class
+            && aa.clock == bb.clock
+            && aa.gate_group == bb.gate_group
+            && aa.reset == bb.reset
+            && aa.set == bb.set
+            && aa.enable == bb.enable
+            && aa.scan_enable == bb.scan_enable
+    }
+
+    fn scan_compatible(design: &Design, a: &ComposableRegister, b: &ComposableRegister) -> bool {
+        let aa = design.inst(a.inst).register_attrs().expect("register").scan;
+        let bb = design.inst(b.inst).register_attrs().expect("register").scan;
+        match (aa, bb) {
+            (None, None) => true,
+            (Some(x), Some(y)) => {
+                x.partition == y.partition
+                    && match (x.section, y.section) {
+                        (None, None) => true,
+                        (Some((sx, _)), Some((sy, _))) => sx == sy,
+                        _ => false,
+                    }
+            }
+            _ => false,
+        }
+    }
+
+    /// The oracle's edges (ascending `(i, j)`, `i < j`) and pruned count.
+    fn all_pairs(
+        design: &Design,
+        regs: &[ComposableRegister],
+        prune: bool,
+    ) -> (Vec<(usize, usize)>, u64) {
+        let mut edges = Vec::new();
+        let mut removed = 0;
+        for i in 0..regs.len() {
+            for j in i + 1..regs.len() {
+                if compatible(design, &regs[i], &regs[j]) {
+                    if prune && !width_sum_selectable(&regs[i], &regs[j]) {
+                        removed += 1;
+                    } else {
+                        edges.push((i, j));
+                    }
+                }
+            }
+        }
+        (edges, removed)
+    }
+
+    fn edges_of(graph: &UnGraph) -> Vec<(usize, usize)> {
+        (0..graph.len())
+            .flat_map(|i| {
+                graph
+                    .neighbors(i)
+                    .filter(move |&j| j > i)
+                    .map(move |j| (i, j))
+            })
+            .collect()
+    }
+
+    /// Runs `f` and returns its result with the `core.compat.*` counter
+    /// totals it flushed.
+    fn counted<R>(f: impl FnOnce() -> R) -> (R, std::collections::BTreeMap<String, u64>) {
+        let totals = std::sync::Arc::new(mbr_obs::CounterTotals::default());
+        let out = mbr_obs::with_sink(totals.clone(), f);
+        (out, totals.totals())
+    }
+
+    /// One random register: lattice position, cell (1-bit, 2-bit, or an
+    /// 8-bit register with 1–7 connected bits), control variant, scan
+    /// variant and a seed word for its connected bits, fanout and lattice
+    /// region.
+    type RegSpec = (i64, i64, u32, u32, u32, u64);
+
+    fn arb_population() -> impl Gen<Value = Vec<RegSpec>> {
+        vec_of(
+            (0i64..12, 0i64..12, 0u32..3, 0u32..8, 0u32..7, any_u64()),
+            2usize..40,
+        )
+    }
+
+    /// A 48 µm die holding the population: clocks, gating and enables drawn
+    /// so that registers differing only in gate group or enable net sit
+    /// side by side; scan variants cover off-chain, two partitions and one
+    /// partition with two ordered sections; and random Q→D nets give the
+    /// registers finite, varied slacks.
+    fn population_design(lib: &Library, pop: &[RegSpec]) -> Design {
+        let die = Rect::new(Point::new(0, 0), Point::new(48_000, 48_000));
+        let mut d = Design::new("pop", die);
+        let clocks = [d.add_net("clk0"), d.add_net("clk1")];
+        let enables = [d.add_net("en0"), d.add_net("en1")];
+        let cells = ["DFF_1X1", "DFF_2X1", "DFF_8X1"].map(|n| lib.cell_by_name(n).unwrap());
+        let mut regs = Vec::new();
+        for (i, &(x, y, cell, ctl, scan, seed)) in pop.iter().enumerate() {
+            let mut attrs = RegisterAttrs::clocked(clocks[usize::from(ctl == 4)]);
+            attrs.gate_group = u32::from(ctl == 5);
+            attrs.enable = match ctl {
+                6 => Some(enables[0]),
+                7 => Some(enables[1]),
+                _ => None,
+            };
+            let pos = i as u32;
+            attrs.scan = match scan {
+                3 => Some(ScanInfo {
+                    partition: 0,
+                    section: None,
+                }),
+                4 => Some(ScanInfo {
+                    partition: 0,
+                    section: Some((5, pos)),
+                }),
+                5 => Some(ScanInfo {
+                    partition: 0,
+                    section: Some((6, pos)),
+                }),
+                6 => Some(ScanInfo {
+                    partition: 1,
+                    section: None,
+                }),
+                _ => None,
+            };
+            let c = cells[cell as usize];
+            let fw = lib.cell(c).footprint_w;
+            let fh = lib.cell(c).footprint_h;
+            // Lattice points past the die edge clamp onto it, so border
+            // registers get regions clipped at the die.
+            let loc = Point::new((x * 4_000).min(48_000 - fw), (y * 4_000).min(48_000 - fh));
+            let r = d.add_register(format!("r{i}"), lib, c, loc, attrs);
+            if cell == 2 {
+                if let InstKind::Register { connected_bits, .. } = &mut d.inst_mut(r).kind {
+                    *connected_bits = 1 + (seed % 7) as u8;
+                }
+            }
+            regs.push(r);
+        }
+        for (i, &(.., seed)) in pop.iter().enumerate() {
+            if seed % 3 != 0 {
+                continue;
+            }
+            let to = regs[(seed / 3) as usize % regs.len()];
+            let q = d.find_pin(regs[i], PinKind::Q(0)).unwrap();
+            let dp = d.find_pin(to, PinKind::D(0)).unwrap();
+            if d.pin(dp).net.is_some() {
+                continue;
+            }
+            let net = match d.pin(q).net {
+                Some(net) => net,
+                None => {
+                    let net = d.add_net(format!("n{i}"));
+                    d.connect(q, net);
+                    net
+                }
+            };
+            d.connect(dp, net);
+        }
+        d
+    }
+
+    props! {
+        cases = 64;
+
+        /// The key-grouped sweep finds exactly the all-pairs predicate's
+        /// edges and prunes exactly its width-sum pairs, on real regions
+        /// (clipped at the die, radius up to beyond the die) and on lattice
+        /// regions that touch at edges and corners.
+        fn sweep_matches_the_all_pairs_predicate(
+            pop in arb_population(),
+            radius in 0usize..4,
+            period in 0usize..3,
+            prune in 0u32..2,
+        ) {
+            let lib = standard_library();
+            let d = population_design(&lib, &pop);
+            let model = DelayModel {
+                clock_period: [150.0, 400.0, 1_000.0][period],
+                ..DelayModel::default()
+            };
+            let sta = Sta::new(&d, &lib, model).unwrap();
+            let options = ComposerOptions {
+                max_region_radius: [0, 3_000, 20_000, 10_000_000][radius],
+                prune_compat_edges: prune == 1,
+                ..ComposerOptions::default()
+            };
+            let (g, totals) = counted(|| CompatGraph::build(&d, &lib, &sta, &options));
+            prop_assert_eq!(g.regs.len(), pop.len());
+            let (edges, removed) = all_pairs(&d, &g.regs, prune == 1);
+            prop_assert_eq!(edges_of(&g.graph), edges);
+            let get = |name: &str| totals.get(name).copied().unwrap_or(0);
+            prop_assert_eq!(get("core.compat.edges_removed"), removed);
+            prop_assert!(get("core.compat.pairs_checked") <= (pop.len() * (pop.len() - 1) / 2) as u64);
+
+            // Lattice regions of 0–3 units a side on a 1 µm grid: many
+            // pairs touch exactly at an edge or a corner.
+            let mut regs = g.regs.clone();
+            for (reg, &(x, y, .., seed)) in regs.iter_mut().zip(&pop) {
+                let lo = Point::new(x * 1_000, y * 1_000);
+                let size = Point::new((seed >> 8) as i64 % 4 * 1_000, (seed >> 16) as i64 % 4 * 1_000);
+                reg.region = Rect::new(lo, Point::new(lo.x + size.x, lo.y + size.y));
+            }
+            let (graph, totals) = counted(|| connect(&d, &regs, prune == 1));
+            let (edges, removed) = all_pairs(&d, &regs, prune == 1);
+            prop_assert_eq!(edges_of(&graph), edges);
+            prop_assert_eq!(totals.get("core.compat.edges_removed").copied().unwrap_or(0), removed);
+        }
     }
 }

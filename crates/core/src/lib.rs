@@ -63,6 +63,7 @@ pub mod weight;
 mod flow;
 mod session;
 mod stages;
+mod u64set;
 
 pub use candidates::{CandidateMbr, CandidateSet};
 pub use compat::{CompatGraph, ComposableRegister};

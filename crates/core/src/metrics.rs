@@ -118,9 +118,9 @@ impl DesignMetrics {
             comp_regs: compat.regs.len(),
             clk_bufs: tree.buffers,
             clk_cap_pf: tree.total_cap_ff / 1000.0,
-            tns_ns: sta.report().tns / 1000.0,
-            wns_ps: sta.report().wns,
-            failing_endpoints: sta.report().failing_endpoints,
+            tns_ns: sta.report().tns() / 1000.0,
+            wns_ps: sta.report().wns(),
+            failing_endpoints: sta.report().failing_endpoints(),
             total_endpoints: sta.report().endpoints().len(),
             ovfl_edges: cong_report.overflow_edges,
             // DBU = nm → mm, plus the CTS tree's own routing.

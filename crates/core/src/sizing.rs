@@ -46,15 +46,15 @@ pub fn downsize_mbrs(
                 .expect("finite resistances")
         });
 
-        let tns_before = sta.report().tns;
-        let failing_before = sta.report().failing_endpoints;
+        let tns_before = sta.report().tns();
+        let failing_before = sta.report().failing_endpoints();
         for alt in alternatives {
             if design.resize_register(mbr, lib, alt).is_err() {
                 continue;
             }
             sta.update_after_change(design, lib, &[mbr]);
-            let ok = sta.report().tns >= tns_before - margin
-                && sta.report().failing_endpoints <= failing_before;
+            let ok = sta.report().tns() >= tns_before - margin
+                && sta.report().failing_endpoints() <= failing_before;
             if ok {
                 resized += 1;
                 break;
@@ -107,7 +107,7 @@ mod tests {
         }
         let model = DelayModel::default();
         let mut sta = Sta::new(&d, &lib, model).unwrap();
-        assert_eq!(sta.report().failing_endpoints, 0);
+        assert_eq!(sta.report().failing_endpoints(), 0);
 
         let ck = d.register_clock_pin(a);
         let clock_cap_before = d.pin(ck).cap;
@@ -119,10 +119,10 @@ mod tests {
             d.pin(ck).cap < clock_cap_before,
             "downsizing cuts clock cap"
         );
-        assert_eq!(sta.report().failing_endpoints, 0, "timing preserved");
+        assert_eq!(sta.report().failing_endpoints(), 0, "timing preserved");
         // Incremental state matches a fresh analysis.
         let full = Sta::new(&d, &lib, model).unwrap();
-        assert!((full.report().tns - sta.report().tns).abs() < 1e-9);
+        assert_eq!(full.report().tns().to_bits(), sta.report().tns().to_bits());
     }
 
     #[test]
@@ -157,12 +157,12 @@ mod tests {
         let slack = sta_probe.report().register_d_slack(&d, b).unwrap();
         model.clock_period -= slack - 1.0; // leave ~1 ps of margin
         let mut sta = Sta::new(&d, &lib, model).unwrap();
-        assert_eq!(sta.report().failing_endpoints, 0);
+        assert_eq!(sta.report().failing_endpoints(), 0);
 
         let resized = downsize_mbrs(&mut d, &lib, &mut sta, &[a], 0.5);
         assert_eq!(resized, 0, "no weaker cell can hold this path");
         assert_eq!(d.inst(a).register_cell(), Some(strong), "rolled back");
-        assert_eq!(sta.report().failing_endpoints, 0);
+        assert_eq!(sta.report().failing_endpoints(), 0);
     }
 }
 

@@ -6,6 +6,8 @@
 //! blocking neighborhood) matches a previous pass reuses its candidate set
 //! *and* its assignment solution; only changed partitions re-enumerate.
 
+use std::sync::Arc;
+
 use mbr_liberty::Library;
 use mbr_netlist::Design;
 
@@ -20,8 +22,9 @@ use crate::ComposerOptions;
 /// memoized assignment solution and which are fresh and should be absorbed
 /// into the cache after solving.
 pub(crate) struct Enumeration {
-    /// Candidate sets, in partition order (cache hits and misses alike).
-    pub sets: Vec<CandidateSet>,
+    /// Candidate sets, in partition order (cache hits and misses alike);
+    /// a hit shares its set with the memo instead of copying it.
+    pub sets: Vec<Arc<CandidateSet>>,
     /// Per set: the memoized assignment solution (selected candidate
     /// indices, branch-and-bound nodes) when the partition was reused.
     pub reused: Vec<Option<(Vec<usize>, u64)>>,
@@ -41,7 +44,10 @@ pub(crate) fn run(
     match cache {
         Some(cache) => enumerate_incremental(design, lib, compat, options, cache),
         None => {
-            let sets = enumerate_candidates(design, lib, compat, options);
+            let sets: Vec<Arc<CandidateSet>> = enumerate_candidates(design, lib, compat, options)
+                .into_iter()
+                .map(Arc::new)
+                .collect();
             let reused = sets.iter().map(|_| None).collect();
             Enumeration {
                 sets,

@@ -459,8 +459,8 @@ pub fn assign_useful_skew(
     config: &SkewConfig,
 ) -> SkewReport {
     let mut report = SkewReport {
-        wns_before: sta.report().wns,
-        tns_before: sta.report().tns,
+        wns_before: sta.report().wns(),
+        tns_before: sta.report().tns(),
         ..SkewReport::default()
     };
 
@@ -479,7 +479,7 @@ pub fn assign_useful_skew(
                 )
             })
             .collect();
-        let tns_at_pass_start = sta.report().tns;
+        let tns_at_pass_start = sta.report().tns();
 
         let mut pass_changed = false;
         for &r in regs {
@@ -503,7 +503,7 @@ pub fn assign_useful_skew(
             pass_changed = true;
         }
 
-        if sta.report().tns < tns_at_pass_start - 1e-9 {
+        if sta.report().tns() < tns_at_pass_start - 1e-9 {
             // The pass hurt: roll back its offsets.
             for (r, offset) in snapshot {
                 design
@@ -522,8 +522,8 @@ pub fn assign_useful_skew(
     }
 
     report.adjusted = adjusted.len();
-    report.wns_after = sta.report().wns;
-    report.tns_after = sta.report().tns;
+    report.wns_after = sta.report().wns();
+    report.tns_after = sta.report().tns();
     obs::counter(Counter::SkewAdjusted, report.adjusted as u64);
     obs::gauge(Gauge::WnsPs, report.wns_after);
     obs::gauge(Gauge::TnsPs, report.tns_after);
@@ -663,7 +663,7 @@ mod tests {
             ..DelayModel::default()
         };
         let mut sta = Sta::new(&d, &lib, model).unwrap();
-        let before = sta.report().tns;
+        let before = sta.report().tns();
         assert!(before < 0.0, "fixture must start violated, tns = {before}");
 
         let report = assign_useful_skew(
@@ -685,7 +685,7 @@ mod tests {
         assert!(off > 0.0, "expected positive skew, got {off}");
         // Oracle: full re-analysis agrees with the incremental state.
         let full = Sta::new(&d, &lib, model).unwrap();
-        assert!((full.report().tns - sta.report().tns).abs() < 1e-9);
+        assert_eq!(full.report().tns().to_bits(), sta.report().tns().to_bits());
     }
 
     #[test]
@@ -716,11 +716,11 @@ mod tests {
         };
         let model = DelayModel::default();
         let mut sta = Sta::new(&d, &lib, model).unwrap();
-        assert_eq!(sta.report().failing_endpoints, 0);
+        assert_eq!(sta.report().failing_endpoints(), 0);
         let report = assign_useful_skew(&mut d, &lib, &mut sta, &regs, &SkewConfig::default());
         assert_eq!(report.tns_after, 0.0);
         assert!(
-            sta.report().failing_endpoints == 0,
+            sta.report().failing_endpoints() == 0,
             "must not create violations"
         );
     }

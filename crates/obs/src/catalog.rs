@@ -78,11 +78,18 @@ pub enum Counter {
     /// MBR placements whose Section 4.2 corner LP a session pass reused
     /// from the previous pass (bit-identical inputs) instead of solving.
     SessionPlacementsReused,
+    /// Register pairs the compatibility builder handed to the placement and
+    /// timing predicates (same functional/scan key, regions overlapping in
+    /// x).
+    CompatPairsChecked,
+    /// WNS/TNS/failing-count folds over the endpoint list, run on the first
+    /// summary read after an analysis or update.
+    StaSummaryFolds,
 }
 
 impl Counter {
     /// Every counter, in catalog order (documentation and validation).
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 29] = [
         Counter::SimplexPivots,
         Counter::SetPartSolves,
         Counter::SetPartNodesExplored,
@@ -110,6 +117,8 @@ impl Counter {
         Counter::SetPartLpBoundCuts,
         Counter::CandidatePolygons,
         Counter::SessionPlacementsReused,
+        Counter::CompatPairsChecked,
+        Counter::StaSummaryFolds,
     ];
 
     /// The stable dotted name used in traces and bench JSON.
@@ -142,6 +151,8 @@ impl Counter {
             Counter::SetPartLpBoundCuts => "lp.setpart.lp_bound_cuts",
             Counter::CandidatePolygons => "core.candidates.polygons",
             Counter::SessionPlacementsReused => "core.session.placements_reused",
+            Counter::CompatPairsChecked => "core.compat.pairs_checked",
+            Counter::StaSummaryFolds => "sta.summary_folds",
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The graph lives in CSR-style struct-of-arrays arenas (DESIGN.md §14):
 //! per direction, one flat target array and one flat delay array addressed
-//! through an offset table ([`mbr_arena::Csr`]). Full and incremental
+//! through an offset table (`ArcArena`). Full and incremental
 //! propagation are linear scans over contiguous slot ranges instead of
 //! per-pin `Vec<Vec<_>>` walks, and an incremental delay refresh rewrites
 //! slots in place — the arc *topology* of a non-structural update never
@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use mbr_arena::{Csr, CsrBuilder};
 use mbr_geom::Point;
 use mbr_liberty::Library;
 use mbr_netlist::{Design, InstId, InstKind, PinDir, PinId, PinKind, PortDir};
@@ -44,24 +43,55 @@ impl fmt::Display for StaError {
 
 impl Error for StaError {}
 
-/// One direction of the timing graph in CSR form: `csr.range(pin)` indexes
-/// the flat `to` / `delay` arenas.
+/// One direction of the timing graph in compressed-sparse-row form:
+/// `offsets[pin]..offsets[pin + 1]` indexes the flat `to` / `delay` arenas.
 #[derive(Clone, Debug, Default)]
 struct ArcArena {
-    csr: Csr,
+    offsets: Vec<u32>,
     to: Vec<u32>,
     delay: Vec<f64>,
 }
 
 impl ArcArena {
+    /// Lays out `arcs` (`(from, to, delay)`) over `pins` pins by source pin,
+    /// or by target pin with `from` and `to` swapped when `reverse`: count,
+    /// prefix-sum, then fill. A pin's arcs keep their order in `arcs`, so a
+    /// deterministic enumeration yields a deterministic layout.
+    fn build(pins: usize, arcs: &[(u32, u32, f64)], reverse: bool) -> ArcArena {
+        let oriented = |&(from, to, delay): &(u32, u32, f64)| {
+            if reverse {
+                (to as usize, from, delay)
+            } else {
+                (from as usize, to, delay)
+            }
+        };
+        let mut offsets = vec![0u32; pins + 1];
+        for (src, ..) in arcs.iter().map(oriented) {
+            offsets[src + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets[..pins].to_vec();
+        let mut to = vec![0; arcs.len()];
+        let mut delay = vec![0.0; arcs.len()];
+        for (src, dst, d) in arcs.iter().map(oriented) {
+            let slot = cursor[src] as usize;
+            cursor[src] += 1;
+            to[slot] = dst;
+            delay[slot] = d;
+        }
+        ArcArena { offsets, to, delay }
+    }
+
     /// The arc slots leaving (forward) or entering (reverse) `pin`.
     fn range(&self, pin: usize) -> std::ops::Range<usize> {
-        self.csr.range(pin)
+        self.offsets[pin] as usize..self.offsets[pin + 1] as usize
     }
 
     /// Overwrites the delay of the arc `pin -> other`, if present.
     fn set_delay(&mut self, pin: usize, other: usize, delay: f64) {
-        for slot in self.csr.range(pin) {
+        for slot in self.range(pin) {
             if self.to[slot] as usize == other {
                 self.delay[slot] = delay;
             }
@@ -179,9 +209,8 @@ impl Sta {
 
         // Enumerate every arc once, in a deterministic order (wire arcs in
         // live-net order, then gate arcs in live-instance order), into a
-        // flat scratch list; the CSR arenas are then built with the classic
-        // count → prefix-sum → fill passes over it. Sources and endpoints
-        // are set along the way.
+        // flat scratch list the two CSR arenas are laid out from. Sources
+        // and endpoints are set along the way.
         let mut edges: Vec<(u32, u32, f64)> = Vec::new();
 
         // Net arcs (driver → sinks).
@@ -265,29 +294,9 @@ impl Sta {
         }
 
         let n = self.pin_count();
-        let mut fb = CsrBuilder::new(n);
-        let mut rb = CsrBuilder::new(n);
-        for &(from, to, _) in &edges {
-            fb.count(from as usize);
-            rb.count(to as usize);
-        }
-        let total = fb.finish_counts();
-        rb.finish_counts();
-        self.fwd.to = vec![0; total];
-        self.fwd.delay = vec![0.0; total];
-        self.rev.to = vec![0; total];
-        self.rev.delay = vec![0.0; total];
-        for &(from, to, delay) in &edges {
-            let slot = fb.fill(from as usize);
-            self.fwd.to[slot] = to;
-            self.fwd.delay[slot] = delay;
-            let slot = rb.fill(to as usize);
-            self.rev.to[slot] = from;
-            self.rev.delay[slot] = delay;
-        }
-        self.fwd.csr = fb.build();
-        self.rev.csr = rb.build();
-        obs::gauge(Gauge::StaArenaArcs, total as f64);
+        self.fwd = ArcArena::build(n, &edges, false);
+        self.rev = ArcArena::build(n, &edges, true);
+        obs::gauge(Gauge::StaArenaArcs, edges.len() as f64);
 
         // Cycle check via Kahn's algorithm over the arc graph.
         self.check_acyclic(design)
@@ -423,9 +432,10 @@ impl Sta {
     /// is refreshed (arc delays, driver load) only when the pin's position
     /// or capacitance differs, bit for bit, from what the net's arcs were
     /// last computed from, so a clock-offset edit refreshes no net at all.
-    /// Propagation then re-relaxes only the affected cones, and WNS/TNS are
-    /// re-folded over the endpoint list of the last build. The result is
-    /// bitwise the state [`Sta::new`] computes for the same design.
+    /// Propagation then re-relaxes only the affected cones, and the WNS/TNS
+    /// summary is dropped, to be folded over the endpoint list of the last
+    /// build on its next read. The result is bitwise the state
+    /// [`Sta::new`] computes for the same design.
     ///
     /// Every instance whose pins moved or changed capacitance must be in
     /// `touched`; listing an unchanged instance costs only its own pins.
@@ -475,9 +485,9 @@ impl Sta {
                         self.endpoint_required[bit.d.index()] =
                             Some(self.model.clock_period + attrs.clock_offset - c.setup);
                     }
-                    // The summary re-folds the endpoint list of the last
-                    // build; only a touched register's D pin could join or
-                    // leave it, and only by a structural (re)connection.
+                    // The summary folds the endpoint list of the last build;
+                    // only a touched register's D pin could join or leave
+                    // it, and only by a structural (re)connection.
                     debug_assert_eq!(
                         design.pin(bit.d).net.is_some(),
                         self.report.endpoints().binary_search(&bit.d).is_ok(),
@@ -496,7 +506,7 @@ impl Sta {
         self.propagate_arrivals(&seeds);
         self.propagate_required(&seeds);
         self.scratch.seeds = seeds;
-        self.report.refresh_summary();
+        self.report.invalidate_summary();
     }
 
     /// Recomputes the arcs and driver load of `net` from the design and
@@ -661,5 +671,30 @@ impl Sta {
                 }
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ArcArena;
+
+    #[test]
+    fn arc_arena_lays_out_each_pins_arcs_in_list_order() {
+        // Arcs 0->10, 2->12, 0->11; pin 1 has none.
+        let arcs = [(0, 10, 1.0), (2, 12, 2.0), (0, 11, 3.0)];
+        let fwd = ArcArena::build(13, &arcs, false);
+        assert_eq!(fwd.range(0), 0..2);
+        assert_eq!(fwd.range(1), 2..2);
+        assert_eq!(fwd.range(2), 2..3);
+        assert_eq!(fwd.range(12), 3..3);
+        assert_eq!(fwd.to, [10, 11, 12]);
+        assert_eq!(fwd.delay, [1.0, 3.0, 2.0]);
+        let rev = ArcArena::build(13, &arcs, true);
+        assert_eq!(rev.range(0), 0..0);
+        assert_eq!(rev.range(10), 0..1);
+        assert_eq!(rev.range(11), 1..2);
+        assert_eq!(rev.range(12), 2..3);
+        assert_eq!(rev.to, [0, 0, 2]);
+        assert_eq!(rev.delay, [1.0, 3.0, 2.0]);
     }
 }

@@ -40,8 +40,8 @@
 //! d.connect(d.find_pin(r0, PinKind::Q(0)).unwrap(), n);
 //! d.connect(d.find_pin(r1, PinKind::D(0)).unwrap(), n);
 //! let sta = Sta::new(&d, &lib, DelayModel::default())?;
-//! assert_eq!(sta.report().failing_endpoints, 0);
-//! assert!(sta.report().wns > 0.0);
+//! assert_eq!(sta.report().failing_endpoints(), 0);
+//! assert!(sta.report().wns() > 0.0);
 //! # Ok::<(), mbr_sta::StaError>(())
 //! ```
 

@@ -1,7 +1,10 @@
 //! Timing results: per-pin slack, endpoint statistics, register slack
 //! summaries and useful-skew windows.
 
+use std::sync::OnceLock;
+
 use mbr_netlist::{Design, InstId, PinId};
+use mbr_obs::{self as obs, Counter};
 
 /// The feasible useful-skew window of a register (Fishburn bounds).
 ///
@@ -49,12 +52,17 @@ pub struct TimingReport {
     pub(crate) required: Vec<f64>,
     /// Endpoint pins (register D pins and output ports).
     pub(crate) endpoints: Vec<PinId>,
-    /// Worst negative slack over endpoints (positive = all met), ps.
-    pub wns: f64,
-    /// Total negative slack (sum over violating endpoints, ≤ 0), ps.
-    pub tns: f64,
-    /// Number of endpoints with negative slack.
-    pub failing_endpoints: usize,
+    /// WNS, TNS and the failing count, folded on the first read after the
+    /// analysis or update that last changed the timing.
+    summary: OnceLock<Summary>,
+}
+
+/// The endpoint summary of one timing state.
+#[derive(Clone, Copy, Debug)]
+struct Summary {
+    wns: f64,
+    tns: f64,
+    failing_endpoints: usize,
 }
 
 impl TimingReport {
@@ -63,42 +71,67 @@ impl TimingReport {
             arrival: vec![f64::NEG_INFINITY; num_pins],
             required: vec![f64::INFINITY; num_pins],
             endpoints: Vec::new(),
-            wns: f64::INFINITY,
-            tns: 0.0,
-            failing_endpoints: 0,
+            summary: OnceLock::new(),
         }
     }
 
-    /// Collects the endpoint list from a full build, then folds the summary.
+    /// Collects the endpoint list from a full build.
     pub(crate) fn refresh_endpoints(&mut self, endpoint_required: &[Option<f64>]) {
         self.endpoints = endpoint_required
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.map(|_| PinId::from_index(i)))
             .collect();
-        self.refresh_summary();
+        self.invalidate_summary();
+    }
+
+    /// Drops the folded summary after arrivals or required times changed;
+    /// the next read folds it again.
+    pub(crate) fn invalidate_summary(&mut self) {
+        self.summary.take();
+    }
+
+    /// Worst negative slack over endpoints (positive = all met), ps.
+    pub fn wns(&self) -> f64 {
+        self.summary().wns
+    }
+
+    /// Total negative slack (sum over violating endpoints, ≤ 0), ps.
+    pub fn tns(&self) -> f64 {
+        self.summary().tns
+    }
+
+    /// Number of endpoints with negative slack.
+    pub fn failing_endpoints(&self) -> usize {
+        self.summary().failing_endpoints
     }
 
     /// Folds WNS, TNS and the failing count over the endpoint list, in list
-    /// order. Full builds and incremental updates run this same fold over
+    /// order, on the first read. Full builds and incremental updates fold
     /// the same list, so the sums are bit-identical whenever the slacks
     /// are.
-    pub(crate) fn refresh_summary(&mut self) {
-        self.wns = f64::INFINITY;
-        self.tns = 0.0;
-        self.failing_endpoints = 0;
-        for &p in &self.endpoints {
-            if let Some(s) = self.slack(p) {
-                self.wns = self.wns.min(s);
-                if s < 0.0 {
-                    self.tns += s;
-                    self.failing_endpoints += 1;
+    fn summary(&self) -> &Summary {
+        self.summary.get_or_init(|| {
+            obs::counter(Counter::StaSummaryFolds, 1);
+            let mut sum = Summary {
+                wns: f64::INFINITY,
+                tns: 0.0,
+                failing_endpoints: 0,
+            };
+            for &p in &self.endpoints {
+                if let Some(s) = self.slack(p) {
+                    sum.wns = sum.wns.min(s);
+                    if s < 0.0 {
+                        sum.tns += s;
+                        sum.failing_endpoints += 1;
+                    }
                 }
             }
-        }
-        if self.endpoints.is_empty() {
-            self.wns = 0.0;
-        }
+            if self.endpoints.is_empty() {
+                sum.wns = 0.0;
+            }
+            sum
+        })
     }
 
     /// Arrival time at a pin, if reachable from any source.

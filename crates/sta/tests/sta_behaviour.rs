@@ -39,9 +39,9 @@ fn short_paths_meet_timing_long_paths_violate() {
     let lib = standard_library();
     let (d, _) = pipeline(&lib, 10_000, 3);
     let sta = Sta::new(&d, &lib, DelayModel::default()).unwrap();
-    assert_eq!(sta.report().failing_endpoints, 0);
-    assert!(sta.report().wns > 0.0);
-    assert_eq!(sta.report().tns, 0.0);
+    assert_eq!(sta.report().failing_endpoints(), 0);
+    assert!(sta.report().wns() > 0.0);
+    assert_eq!(sta.report().tns(), 0.0);
 
     // A very tight period makes everything fail.
     let tight = DelayModel {
@@ -49,9 +49,9 @@ fn short_paths_meet_timing_long_paths_violate() {
         ..DelayModel::default()
     };
     let sta = Sta::new(&d, &lib, tight).unwrap();
-    assert_eq!(sta.report().failing_endpoints, 2, "both D endpoints fail");
-    assert!(sta.report().wns < 0.0);
-    assert!(sta.report().tns < 0.0);
+    assert_eq!(sta.report().failing_endpoints(), 2, "both D endpoints fail");
+    assert!(sta.report().wns() < 0.0);
+    assert!(sta.report().tns() < 0.0);
 }
 
 #[test]
@@ -217,10 +217,10 @@ fn incremental_update_matches_full_reanalysis_after_move() {
         }
     }
     assert_eq!(
-        sta.report().failing_endpoints,
-        full.report().failing_endpoints
+        sta.report().failing_endpoints(),
+        full.report().failing_endpoints()
     );
-    assert!((sta.report().tns - full.report().tns).abs() < 1e-9);
+    assert_eq!(sta.report().tns().to_bits(), full.report().tns().to_bits());
 }
 
 #[test]

@@ -50,8 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sta = Sta::new(&design, &lib, model)?;
     println!(
         "\nworst 5 paths (wns {:.1} ps, {} failing endpoints):",
-        sta.report().wns,
-        sta.report().failing_endpoints
+        sta.report().wns(),
+        sta.report().failing_endpoints()
     );
     for path in sta.worst_paths(5) {
         let start = design.inst(design.pin(path.pins[0]).inst);

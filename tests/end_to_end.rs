@@ -48,8 +48,8 @@ fn composition_reduces_registers_and_preserves_invariants() {
     let bits_before = design.total_register_bits();
     let regs_before = design.live_register_count();
     let sta_before = Sta::new(&design, &lib, m).expect("acyclic");
-    let tns_before = sta_before.report().tns;
-    let failing_before = sta_before.report().failing_endpoints;
+    let tns_before = sta_before.report().tns();
+    let failing_before = sta_before.report().failing_endpoints();
 
     let composer = Composer::new(ComposerOptions::default(), m);
     let outcome = composer.compose(&mut design, &lib).expect("flow succeeds");
@@ -75,15 +75,15 @@ fn composition_reduces_registers_and_preserves_invariants() {
     // Timing does not degrade (the paper's headline constraint).
     let sta_after = Sta::new(&design, &lib, m).expect("acyclic");
     assert!(
-        sta_after.report().tns >= tns_before - 1e-6,
+        sta_after.report().tns() >= tns_before - 1e-6,
         "TNS degraded: {} -> {}",
         tns_before,
-        sta_after.report().tns
+        sta_after.report().tns()
     );
     assert!(
-        sta_after.report().failing_endpoints <= failing_before,
+        sta_after.report().failing_endpoints() <= failing_before,
         "failing endpoints grew: {failing_before} -> {}",
-        sta_after.report().failing_endpoints
+        sta_after.report().failing_endpoints()
     );
 
     // Every new MBR maps to a real library cell wide enough for its bits.
@@ -291,7 +291,7 @@ fn composition_is_incremental_and_converges() {
     // Converged: the last recorded pass merged nothing (or we ran out of
     // passes while still improving, which the window check already covers).
     let sta = Sta::new(&design, &lib, m).expect("acyclic");
-    assert!(sta.report().tns <= 0.0 + 1e-9);
+    assert!(sta.report().tns() <= 0.0 + 1e-9);
 }
 
 #[test]

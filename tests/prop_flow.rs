@@ -53,8 +53,8 @@ props! {
         let bits = design.total_register_bits();
         let regs_before = design.live_register_count();
         let sta = Sta::new(&design, &lib, model).expect("generated designs are acyclic");
-        let tns_before = sta.report().tns;
-        let failing_before = sta.report().failing_endpoints;
+        let tns_before = sta.report().tns();
+        let failing_before = sta.report().failing_endpoints();
         let fixed: Vec<String> = design
             .registers()
             .filter(|(_, i)| i.register_attrs().expect("reg").fixed)
@@ -70,9 +70,9 @@ props! {
         prop_assert!(design.validate().is_empty(), "{:?}", design.validate());
 
         let sta = Sta::new(&design, &lib, model).expect("still acyclic");
-        prop_assert!(sta.report().tns >= tns_before - 1e-6,
-            "tns {} -> {}", tns_before, sta.report().tns);
-        prop_assert!(sta.report().failing_endpoints <= failing_before);
+        prop_assert!(sta.report().tns() >= tns_before - 1e-6,
+            "tns {} -> {}", tns_before, sta.report().tns());
+        prop_assert!(sta.report().failing_endpoints() <= failing_before);
 
         for name in fixed {
             let id = design.inst_by_name(&name).expect("fixed register exists");
