@@ -132,7 +132,36 @@ fn save_row(base: &DesignMetrics, ours: &DesignMetrics) {
     );
 }
 
-/// Table 1: Base vs Ours on D1–D5.
+/// One Table 1 row in the markdown form EXPERIMENTS.md holds between its
+/// `table1` markers. Wall-clock is left out, so the row is a pure function
+/// of the design and `scripts/verify.sh` can diff it against the file.
+fn markdown_row(name: &str, base: &DesignMetrics, ours: &DesignMetrics) -> String {
+    let ns = |v: f64| format!("{v:.2}").replace('-', "−");
+    format!(
+        "| {} | {} → {} (**{:.1} %**) | {} | {} → {} | {:.2} → {:.2} ({:.1} %) | {} → {} | {} → {} | {} → {} | {:.1} → {:.1} |",
+        name.to_uppercase(),
+        base.total_regs,
+        ours.total_regs,
+        save_pct(base.total_regs as f64, ours.total_regs as f64),
+        base.comp_regs,
+        base.clk_bufs,
+        ours.clk_bufs,
+        base.clk_cap_pf,
+        ours.clk_cap_pf,
+        save_pct(base.clk_cap_pf, ours.clk_cap_pf),
+        ns(base.tns_ns),
+        ns(ours.tns_ns),
+        base.failing_endpoints,
+        ours.failing_endpoints,
+        base.ovfl_edges,
+        ours.ovfl_edges,
+        base.wl_clk_mm + base.wl_other_mm,
+        ours.wl_clk_mm + ours.wl_other_mm,
+    )
+}
+
+/// Table 1: Base vs Ours on D1–D5, as a console table and then as the
+/// markdown rows of EXPERIMENTS.md.
 fn table1() {
     println!("== Table 1: industrial design characteristics before/after MBR composition ==");
     println!(
@@ -154,6 +183,7 @@ fn table1() {
     let lib = library();
     let mut reg_saves = Vec::new();
     let mut comp_merged = Vec::new();
+    let mut markdown = Vec::new();
     let presets = all_presets();
     let runs = sweep_presets(&presets, |spec| {
         run(spec, &lib, ComposerOptions::default(), Strategy::Ilp)
@@ -174,6 +204,7 @@ fn table1() {
             ours.clk_power_uw,
             save_pct(base.clk_power_uw, ours.clk_power_uw),
         );
+        markdown.push(markdown_row(&spec.name, &base, &ours));
         reg_saves.push(save_pct(base.total_regs as f64, ours.total_regs as f64));
         comp_merged.push(100.0 * outcome.merged_registers as f64 / base.comp_regs.max(1) as f64);
     }
@@ -183,6 +214,13 @@ fn table1() {
         avg(&reg_saves),
         avg(&comp_merged),
     );
+    println!("<!-- table1:begin -->");
+    println!("| Design | Regs base→ours (save) | Comp regs | Clk bufs | Clk cap pF (save) | TNS ns | Fail EP | Ovfl edges | WL clk+sig mm |");
+    println!("|---|---|---|---|---|---|---|---|---|");
+    for row in &markdown {
+        println!("{row}");
+    }
+    println!("<!-- table1:end -->");
     println!();
 }
 

@@ -186,11 +186,13 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// Micro-benchmarks of the algorithmic substrates: the set-partitioning
-/// branch-and-bound, the simplex LP, Bron–Kerbosch, and the convex hull.
+/// branch-and-bound, the §4.2 placement corner, Bron–Kerbosch, and the
+/// convex hull.
 pub fn solvers() {
-    use mbr_geom::{convex_hull, Point};
+    use mbr_core::placement::{optimal_corner_lp, PinBox};
+    use mbr_geom::{convex_hull, Point, Rect};
     use mbr_graph::{BitGraph, UnGraph};
-    use mbr_lp::{LpProblem, Sense, SetPartition};
+    use mbr_lp::SetPartition;
 
     let mut suite = Suite::new("solvers");
 
@@ -217,30 +219,27 @@ pub fn solvers() {
         sp.solve_bounded(50_000).expect("feasible")
     });
 
-    // The Section 4.2 placement LP shape: 2 position vars + 4 helpers per
-    // pin over 16 pins.
-    let mut lp = LpProblem::new();
-    let x = lp.add_var(0.0, 100_000.0, 0.0);
-    let y = lp.add_var(0.0, 100_000.0, 0.0);
+    // The Section 4.2 placement over 16 pins: the closed form the flow
+    // runs, on random pin offsets and connection boxes.
     let mut state = 0xF00D_u64;
-    for _ in 0..16 {
-        let bx = (xorshift(&mut state) % 90_000) as f64;
-        let by = (xorshift(&mut state) % 90_000) as f64;
-        let hx = lp.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        let lx = lp.add_var(f64::NEG_INFINITY, f64::INFINITY, -1.0);
-        let hy = lp.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
-        let ly = lp.add_var(f64::NEG_INFINITY, f64::INFINITY, -1.0);
-        lp.add_constraint(&[(hx, 1.0)], Sense::Ge, bx);
-        lp.add_constraint(&[(hx, 1.0), (x, -1.0)], Sense::Ge, 0.0);
-        lp.add_constraint(&[(lx, 1.0)], Sense::Le, bx);
-        lp.add_constraint(&[(lx, 1.0), (x, -1.0)], Sense::Le, 0.0);
-        lp.add_constraint(&[(hy, 1.0)], Sense::Ge, by);
-        lp.add_constraint(&[(hy, 1.0), (y, -1.0)], Sense::Ge, 0.0);
-        lp.add_constraint(&[(ly, 1.0)], Sense::Le, by);
-        lp.add_constraint(&[(ly, 1.0), (y, -1.0)], Sense::Le, 0.0);
-    }
-    suite.bench("simplex_placement_lp_16_pins", || {
-        lp.solve().expect("feasible")
+    let boxes: Vec<PinBox> = (0..16)
+        .map(|_| {
+            let x = (xorshift(&mut state) % 90_000) as i64;
+            let y = (xorshift(&mut state) % 90_000) as i64;
+            let w = (xorshift(&mut state) % 8_000) as i64;
+            let h = (xorshift(&mut state) % 8_000) as i64;
+            PinBox {
+                offset: Point::new(
+                    (xorshift(&mut state) % 4_000) as i64,
+                    (xorshift(&mut state) % 1_000) as i64,
+                ),
+                bbox: Rect::new(Point::new(x, y), Point::new(x + w, y + h)),
+            }
+        })
+        .collect();
+    let region = Rect::new(Point::new(0, 0), Point::new(100_000, 100_000));
+    suite.bench("placement_corner_16_pins", || {
+        optimal_corner_lp(&boxes, region)
     });
 
     // A 30-node graph at ~50 % density — the partition-bound worst case.

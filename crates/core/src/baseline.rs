@@ -5,7 +5,7 @@
 //! identification plus greedy MBR mapping. The implementation lives in
 //! [`crate::Composer::compose_heuristic`] and shares every other stage with
 //! the ILP flow (same compatibility rules, same candidate enumeration and
-//! weights, same mapping, same placement LP, same legalization/skew/sizing),
+//! weights, same mapping, same placement, same legalization/skew/sizing),
 //! so Fig. 6 isolates exactly the selection policy:
 //!
 //! * **ILP**: globally minimizes `Σ wᵢ xᵢ` over each partition, and may use

@@ -564,14 +564,9 @@ impl PartitionCache {
                     solve: solve.clone(),
                 };
                 let hash = memo_key_hash(key);
-                if let Some(pos) = self.find(hash, key) {
-                    // Fresh work on a memoized key only happens when a
-                    // lookup raced an earlier absorb of the same pass;
-                    // keys are content, so the payload is identical.
-                    let slot = self.index[pos].1 as usize;
-                    self.slots[slot] = Some(memo);
-                    continue;
-                }
+                // Fresh work is a lookup miss, and two partitions of one
+                // pass never share a key (it lists their members).
+                debug_assert!(self.find(hash, key).is_none(), "fresh key memoized");
                 let slot = match self.free.pop() {
                     Some(s) => {
                         self.slots[s as usize] = Some(memo);

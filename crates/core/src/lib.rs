@@ -18,8 +18,9 @@
 //! 5. **Assignment ILP** (Section 3.1): weighted set partitioning solved
 //!    exactly per partition ([`mbr_lp::SetPartition`]).
 //! 6. **Mapping & placement** (Section 4): drive-matched cell selection and
-//!    the HPWL-minimizing placement LP over the common feasible region
-//!    ([`placement`]), followed by incremental legalization ([`mbr_place`]).
+//!    the HPWL-minimizing placement over the common feasible region, solved
+//!    exactly in closed form ([`placement`]), followed by incremental
+//!    legalization ([`mbr_place`]).
 //! 7. **Useful skew & sizing**: per-MBR clock offsets and drive downsizing
 //!    ([`mbr_cts`], [`sizing`]).
 //!
@@ -30,7 +31,7 @@
 //!
 //! For *incremental* use — the paper's motivating scenario of repeated
 //! ECO-driven re-composition — open a [`CompositionSession`]: it keeps the
-//! timing graph, partition memo and placement memo alive between passes,
+//! timing graph and partition memo alive between passes,
 //! applies [`Eco`]s while recording the instances they touch, and
 //! guarantees each [`CompositionSession::recompose`] is byte-identical to a
 //! fresh batch [`Composer::compose`] on the mutated design.

@@ -3,11 +3,19 @@
 //! The new MBR's lower corner `(x, y)` is the only unknown; every pin sits
 //! at `(x + dxᵢ, y + dyᵢ)`. For each pin the wire to its external fan-in /
 //! fan-out pins is estimated by the half-perimeter of their joint bounding
-//! box, and the `max`/`min` terms are linearized with helper variables —
-//! the exact formulation of the paper, solved on [`mbr_lp::LpProblem`].
-//! Because the objective is separable piecewise-linear per axis, a
-//! breakpoint-scan evaluator ([`optimal_corner_brute`]) provides an
-//! independent oracle used by the property tests.
+//! box. The objective is separable and piecewise linear per axis: pin `i`
+//! adds `(|v − aᵢ| + |v − bᵢ|) / 2` plus a constant, with breakpoints
+//! `aᵢ = bbox.lo − offset` and `bᵢ = bbox.hi − offset`. Each axis is
+//! therefore minimized by any median of its 2p breakpoints, and
+//! [`optimal_corner_lp`] — the flow's solver — takes the upper median
+//! clamped to the region, an integer selection with no LP at all.
+//!
+//! Two oracles that the flow never calls back it: the paper's literal LP,
+//! whose `max`/`min` terms are linearized with helper variables and solved
+//! on [`mbr_lp::LpProblem`] ([`optimal_corner_simplex`]), and a
+//! breakpoint-scan evaluator ([`optimal_corner_brute`]).
+
+use std::cmp::Reverse;
 
 use mbr_geom::{Dbu, Point, Rect};
 use mbr_liberty::MbrCell;
@@ -60,12 +68,46 @@ fn external_bbox(design: &Design, net: NetId, members: &[InstId]) -> Option<Rect
     bb.rect()
 }
 
-/// Solves the Section 4.2 LP: the cell-corner position inside `region`
-/// minimizing the summed HPWL of `boxes`. `region` constrains the *corner*;
-/// callers should already have shrunk it so the whole cell fits.
+/// Solves the Section 4.2 LP exactly, in closed form: the cell-corner
+/// position inside `region` minimizing the summed HPWL of `boxes`.
+/// `region` constrains the *corner*; callers should already have shrunk it
+/// so the whole cell fits.
+///
+/// Per axis, the optimum is the interval between the p-th and (p+1)-th
+/// smallest of the 2p breakpoints `bbox.lo − offset` and
+/// `bbox.hi − offset`; this returns its upper end clamped to `region`,
+/// which the convex objective makes the constrained optimum. Of the
+/// optimal corners it is the one with the largest coordinates, so ties
+/// break the same way on every axis and every call.
 ///
 /// Returns the region center when there are no boxes (nothing to optimize).
 pub fn optimal_corner_lp(boxes: &[PinBox], region: Rect) -> Point {
+    if boxes.is_empty() {
+        return region.center();
+    }
+    let mut breakpoints = Vec::with_capacity(2 * boxes.len());
+    let mut upper_median = |lo: Dbu, hi: Dbu, axis: fn(Point) -> Dbu| -> Dbu {
+        breakpoints.clear();
+        for pb in boxes {
+            let d = axis(pb.offset);
+            breakpoints.extend([axis(pb.bbox.lo()) - d, axis(pb.bbox.hi()) - d]);
+        }
+        let (_, &mut m, _) = breakpoints.select_nth_unstable(boxes.len());
+        m.clamp(lo, hi)
+    };
+    let x = upper_median(region.lo().x, region.hi().x, |p| p.x);
+    let y = upper_median(region.lo().y, region.hi().y, |p| p.y);
+    Point::new(x, y)
+}
+
+/// Test oracle: the Section 4.2 LP exactly as the paper states it, with
+/// the `max`/`min` terms linearized by helper variables and solved on
+/// [`mbr_lp::LpProblem`]. The flow never calls it; it reaches the same
+/// cost as [`optimal_corner_lp`], but where the optimum is an interval it
+/// may stop at either end, as its pivoting happens to fall.
+///
+/// Returns the region center when there are no boxes.
+pub fn optimal_corner_simplex(boxes: &[PinBox], region: Rect) -> Point {
     if boxes.is_empty() {
         return region.center();
     }
@@ -98,7 +140,9 @@ pub fn optimal_corner_lp(boxes: &[PinBox], region: Rect) -> Point {
 
 /// Independent oracle: evaluates the separable piecewise-linear objective
 /// at every axis breakpoint (plus region corners) and returns the best
-/// corner. Exponential in nothing — O(pins²) — but exact.
+/// corner, breaking ties toward the larger coordinate as
+/// [`optimal_corner_lp`] does. Exponential in nothing — O(pins²) — but
+/// exact.
 pub fn optimal_corner_brute(boxes: &[PinBox], region: Rect) -> Point {
     if boxes.is_empty() {
         return region.center();
@@ -124,7 +168,7 @@ pub fn optimal_corner_brute(boxes: &[PinBox], region: Rect) -> Point {
         candidates.dedup();
         candidates
             .into_iter()
-            .min_by_key(|&v| (cost(v), v))
+            .min_by_key(|&v| (cost(v), Reverse(v)))
             .expect("nonempty candidates")
     };
     let x = axis(region.lo().x, region.hi().x, &|pb| {
@@ -137,7 +181,7 @@ pub fn optimal_corner_brute(boxes: &[PinBox], region: Rect) -> Point {
 }
 
 /// Total HPWL of the boxes with the cell corner at `corner` (the objective
-/// both solvers minimize).
+/// all three solvers minimize).
 pub fn placement_cost(boxes: &[PinBox], corner: Point) -> i128 {
     boxes
         .iter()
@@ -199,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn lp_and_brute_force_agree_on_simple_instances() {
+    fn closed_form_matches_both_oracles_on_simple_instances() {
         let cell = cell4();
         let boxes = vec![
             PinBox {
@@ -215,12 +259,33 @@ mod tests {
                 bbox: Rect::new(Point::new(20_000, 50_000), Point::new(22_000, 52_000)),
             },
         ];
-        let lp = optimal_corner_lp(&boxes, region());
-        let brute = optimal_corner_brute(&boxes, region());
+        let corner = optimal_corner_lp(&boxes, region());
+        assert_eq!(corner, optimal_corner_brute(&boxes, region()));
+        let simplex = optimal_corner_simplex(&boxes, region());
         assert_eq!(
-            placement_cost(&boxes, lp),
-            placement_cost(&boxes, brute),
-            "lp at {lp}, brute at {brute}"
+            placement_cost(&boxes, corner),
+            placement_cost(&boxes, simplex),
+            "closed form at {corner}, simplex at {simplex}"
+        );
+    }
+
+    #[test]
+    fn ties_break_toward_the_upper_end_of_the_optimal_interval() {
+        // Two point pins 10 µm apart on each axis: every corner between
+        // them is optimal, and the closed form takes the upper one.
+        let boxes = [
+            PinBox {
+                offset: Point::new(0, 0),
+                bbox: Rect::point(Point::new(20_000, 30_000)),
+            },
+            PinBox {
+                offset: Point::new(0, 0),
+                bbox: Rect::point(Point::new(30_000, 40_000)),
+            },
+        ];
+        assert_eq!(
+            optimal_corner_lp(&boxes, region()),
+            Point::new(30_000, 40_000)
         );
     }
 
@@ -261,6 +326,7 @@ mod tests {
     #[test]
     fn empty_boxes_fall_back_to_region_center() {
         assert_eq!(optimal_corner_lp(&[], region()), region().center());
+        assert_eq!(optimal_corner_simplex(&[], region()), region().center());
         assert_eq!(optimal_corner_brute(&[], region()), region().center());
     }
 

@@ -2,10 +2,11 @@
 //! dirtied.
 //!
 //! A [`CompositionSession`] owns an evolving *pre-composition* design plus
-//! the three persistent analyses of the flow that pay for their upkeep —
-//! the timing graph, the partition/ILP memo and the placement-LP memo.
-//! Compatibility, legalization and useful skew are rebuilt every pass:
-//! caches for them measured slower than the rebuild.
+//! the two persistent analyses of the flow that pay for their upkeep —
+//! the timing graph and the partition/ILP memo. Compatibility, §4.2
+//! placement, legalization and useful skew are rebuilt every pass: caches
+//! for them measured slower than the rebuild, and a placement is a
+//! closed-form selection over its pins.
 //! [`CompositionSession::open`] runs the full flow once (pass 0);
 //! [`CompositionSession::apply`] records an [`Eco`] and marks the instances
 //! it touched; [`CompositionSession::recompose`] re-runs the flow reusing
@@ -17,7 +18,7 @@
 //! mutate the design always run in full; reuse is confined to stages whose
 //! outputs are proven bitwise-equal (incremental STA, oracle-tested in
 //! `mbr-sta`) or keyed on every input they read (partition candidates +
-//! ILP solutions, placement corners). A `recompose()` therefore
+//! ILP solutions). A `recompose()` therefore
 //! produces a [`ComposeOutcome`] and a composed design byte-identical to a
 //! fresh batch `compose` on the same mutated design — the differential
 //! test in `tests/session.rs` asserts exactly that, per preset, at several
@@ -34,7 +35,6 @@ use mbr_sta::{DelayModel, Sta};
 
 use crate::candidates::PartitionCache;
 use crate::flow::{ComposeError, ComposeOutcome};
-use crate::stages::map_place::PlacementMemo;
 use crate::stages::{self, Backend, EcoDirty, Strategy};
 use crate::ComposerOptions;
 
@@ -424,8 +424,6 @@ pub(crate) struct SessionState {
     pub(crate) sta: Option<Sta>,
     /// Content-keyed memo of candidate enumeration and ILP solutions.
     pub(crate) parts: PartitionCache,
-    /// Exact-input memo of the last pass's §4.2 placement corners.
-    pub(crate) placements: PlacementMemo,
 }
 
 /// A reusable composition flow over one evolving design. See the module

@@ -12,15 +12,13 @@
 //! * [`Backend::Batch`] computes everything from scratch — the one-shot
 //!   `compose` behavior.
 //! * [`Backend::Session`] reuses a [`crate::session::SessionState`]: the
-//!   timing stage refreshes the persistent [`Sta`] incrementally, candidate
-//!   enumeration + the assignment ILP are memoized per partition by exact
-//!   content, and the §4.2 placement LP reuses the previous pass's corner
-//!   for every pick whose inputs are word-for-word equal. Every other stage
-//!   runs the batch code. A session pass still produces byte-identical
-//!   results to a batch run on the same design by construction — every
-//!   reuse is either proven bitwise-equal (incremental STA) or keyed on
-//!   every input it reads (partition candidates, placement corners); only
-//!   the *work* counters differ.
+//!   timing stage refreshes the persistent [`Sta`] incrementally, and
+//!   candidate enumeration + the assignment ILP are memoized per partition
+//!   by exact content. Every other stage, §4.2 placement included, runs
+//!   the batch code. A session pass still produces byte-identical results
+//!   to a batch run on the same design by construction — every reuse is
+//!   either proven bitwise-equal (incremental STA) or keyed on every input
+//!   it reads (partition candidates); only the *work* counters differ.
 
 pub(crate) mod assign;
 pub(crate) mod candidates;
@@ -61,8 +59,7 @@ pub(crate) enum Backend<'s> {
     Batch,
     /// Reuse the session's persistent analyses, scoped by the pending ECOs.
     Session {
-        /// Incrementally maintained state (STA, partition memo, placement
-        /// memo).
+        /// Incrementally maintained state (STA, partition memo).
         state: &'s mut SessionState,
         /// What the ECOs since the last pass touched.
         eco: &'s EcoDirty,
@@ -124,13 +121,9 @@ pub(crate) fn run_flow(
 
     // The session state splits into independently-borrowed caches up
     // front, so the stages below can hold each across the others' borrows.
-    let (sta_cache, mut parts_cache, placement_cache) = match backend {
-        Backend::Batch => (None, None, None),
-        Backend::Session { state, eco } => (
-            Some((&mut state.sta, eco)),
-            Some(&mut state.parts),
-            Some(&mut state.placements),
-        ),
+    let (sta_cache, mut parts_cache) = match backend {
+        Backend::Batch => (None, None),
+        Backend::Session { state, eco } => (Some((&mut state.sta, eco)), Some(&mut state.parts)),
     };
 
     // 1. Timing analysis on the incoming placement. The batch backend
@@ -218,19 +211,11 @@ pub(crate) fn run_flow(
     }
 
     // 6. Mapping is pre-resolved per candidate; place (Section 4.2),
-    // merge, then legalize. These stages mutate the design under every
-    // backend; the session backend only reuses placement corners whose
-    // inputs are word-for-word those of the previous pass.
+    // merge, then legalize. These stages mutate the design and run the
+    // same code under every backend.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Mapping.span_name());
-    let new_mbrs = map_place::run(
-        design,
-        lib,
-        &selected.picked,
-        &regions,
-        &mut outcome,
-        placement_cache,
-    );
+    let new_mbrs = map_place::run(design, lib, &selected.picked, &regions, &mut outcome);
     drop(span);
     timings.add(FlowStage::Mapping, obs::now_ns() - t0);
 

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! From-scratch linear/integer programming for MBR composition.
 //!
-//! The DAC'17 flow needs two optimizers:
+//! The DAC'17 paper states two optimization problems:
 //!
 //! 1. the Section 3.1 **assignment ILP** — minimize the weighted number of
 //!    selected MBR candidates subject to "every register is covered exactly
@@ -9,6 +9,10 @@
 //! 2. the Section 4.2 **placement LP** — minimize the summed half-perimeter
 //!    wire-length of the new MBR's pins over its timing-feasible region, with
 //!    `max`/`min` linearized through helper variables.
+//!
+//! The flow solves the first here. The second is separable per axis, so
+//! `mbr-core` solves it exactly in closed form; its literal LP is built on
+//! [`LpProblem`] only as that closed form's test oracle.
 //!
 //! No solver bindings are used; everything is implemented here:
 //!

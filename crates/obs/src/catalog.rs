@@ -75,9 +75,6 @@ pub enum Counter {
     /// Section 3.2 test polygons (convex hulls) candidate enumeration
     /// built to count blocking registers.
     CandidatePolygons,
-    /// MBR placements whose Section 4.2 corner LP a session pass reused
-    /// from the previous pass (bit-identical inputs) instead of solving.
-    SessionPlacementsReused,
     /// Register pairs the compatibility builder handed to the placement and
     /// timing predicates (same functional/scan key, regions overlapping in
     /// x).
@@ -89,7 +86,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in catalog order (documentation and validation).
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 28] = [
         Counter::SimplexPivots,
         Counter::SetPartSolves,
         Counter::SetPartNodesExplored,
@@ -116,7 +113,6 @@ impl Counter {
         Counter::CompatEdgesRemoved,
         Counter::SetPartLpBoundCuts,
         Counter::CandidatePolygons,
-        Counter::SessionPlacementsReused,
         Counter::CompatPairsChecked,
         Counter::StaSummaryFolds,
     ];
@@ -150,7 +146,6 @@ impl Counter {
             Counter::CompatEdgesRemoved => "core.compat.edges_removed",
             Counter::SetPartLpBoundCuts => "lp.setpart.lp_bound_cuts",
             Counter::CandidatePolygons => "core.candidates.polygons",
-            Counter::SessionPlacementsReused => "core.session.placements_reused",
             Counter::CompatPairsChecked => "core.compat.pairs_checked",
             Counter::StaSummaryFolds => "sta.summary_folds",
         }
@@ -162,11 +157,11 @@ impl Counter {
     }
 
     /// Which way the counter moves when the program gets better. Most
-    /// counters count work done; the two reuse counters count work a
-    /// session avoided, so for them more is better.
+    /// counters count work done; the reuse counter counts work a session
+    /// avoided, so for it more is better.
     pub(crate) fn better(self) -> Better {
         match self {
-            Counter::SessionPartitionsReused | Counter::SessionPlacementsReused => Better::Higher,
+            Counter::SessionPartitionsReused => Better::Higher,
             _ => Better::Lower,
         }
     }

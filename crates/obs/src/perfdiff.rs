@@ -542,10 +542,7 @@ mod tests {
     }
 
     /// The counters that count work a session avoided.
-    const REUSE: [&str; 2] = [
-        "core.session.partitions_reused",
-        "core.session.placements_reused",
-    ];
+    const REUSE: [&str; 1] = ["core.session.partitions_reused"];
 
     /// `(failures, flags, text)` of gating `name` at `now` against a
     /// baseline of 100.

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         design.total_register_bits()
     );
 
-    // Run the flow: compatibility → weighted ILP → mapping → placement LP →
+    // Run the flow: compatibility → weighted ILP → mapping → placement →
     // legalization → useful skew → sizing.
     let composer = Composer::new(ComposerOptions::default(), DelayModel::default());
     let outcome = composer.compose(&mut design, &lib)?;

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
-# Fast CI entrypoint: lints, the tier-1 gate, a build of the benchmark, the
-# member crates' tests, a figure reproduction, the cross-stage invariant
-# check, the pruning differential suites, a paper-scale (d6) bounded-compose
-# smoke, and the exact work-counter gates (d1, the d1 session, d1-d5 at
-# default budgets).
+# Fast CI entrypoint: lints, the tier-1 gate, a build and self-check of the
+# benchmark, the member crates' tests, a figure reproduction, the Table 1
+# drift check, the cross-stage invariant check, the pruning differential
+# suites, a paper-scale (d6) bounded-compose smoke, and the exact
+# work-counter gates (d1, the d1 session, d1-d5 at default budgets).
 #
 # Everything here runs fully offline — the workspace has zero external
 # dependencies (see crates/testkit). Usage: scripts/verify.sh
@@ -26,6 +26,9 @@ cargo build --release
 echo "==> build: the benchmark (perfbench compiles against the public API)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> bench: perfbench self-check (traced replay must match compose)"
+python3 perfbench/selfcheck.py
+
 echo "==> tier-1: cargo test -q (MBR_THREADS=1, serial)"
 MBR_THREADS=1 cargo test -q
 
@@ -37,6 +40,13 @@ cargo test -q --workspace --exclude mbr
 
 echo "==> repro: fig3 weight table"
 cargo run --release -q -p mbr-bench --bin repro -- fig3
+
+echo "==> repro: EXPERIMENTS.md Table 1 rows match a fresh run"
+cargo run --release -q -p mbr-bench --bin repro -- table1 > target/table1.txt
+table1_rows() { sed -n '/<!-- table1:begin -->/,/<!-- table1:end -->/p' "$1"; }
+table1_rows target/table1.txt > target/table1.md
+test -s target/table1.md
+table1_rows EXPERIMENTS.md | diff -u - target/table1.md
 
 echo "==> bench: par suite smoke (quick samples)"
 MBR_BENCH_QUICK=1 MBR_BENCH_OUT=target cargo run --release -q -p mbr-bench --bin bench -- par

@@ -24,8 +24,8 @@
 //! PERF_baseline_incr.json` gates. It pins the reduced timing and
 //! enumeration work (`sta.incremental.seed_pins`,
 //! `core.candidates.subsets_visited`) and the reuse
-//! (`core.session.{partitions_reused, placements_reused}`) against
-//! regression to full-pass behavior.
+//! (`core.session.partitions_reused`) against regression to full-pass
+//! behavior.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;

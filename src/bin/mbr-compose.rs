@@ -23,8 +23,7 @@
 //! [`mbr::core::CompositionSession`] composes the design once, then the
 //! ECO script (see [`mbr::core::EcoScript`] for the line format) is split
 //! across `--passes` (default 1) incremental re-compositions, each reusing
-//! the timing graph, partition memo and placement memo of the passes
-//! before it. The written design is the final pass's composed result —
+//! the timing graph and partition memo of the passes before it. The written design is the final pass's composed result —
 //! byte-identical to what a batch run on the mutated design would produce.
 
 use std::process::ExitCode;

@@ -131,7 +131,7 @@ fn flow_is_identical_at_every_thread_count() {
 #[test]
 fn session_recompose_is_identical_at_every_thread_count() {
     // The incremental session layers its reuse (STA refresh, partition
-    // memo, placement memo) on top of the parallel executor; reuse decisions are
+    // memo) on top of the parallel executor; reuse decisions are
     // content-keyed, so outcomes and counter totals must stay bit-identical
     // at every thread count — through the ECO pass as much as the initial
     // full pass.

@@ -6,7 +6,7 @@
 //! values captured on the pointer/BTreeMap implementation.
 //!
 //! New observability added by later work (e.g. `core.candidates.polygons`,
-//! `core.session.placements_reused`) is excluded via the [`LEGACY_COUNTERS`]
+//! `core.compat.pairs_checked`) is excluded via the [`LEGACY_COUNTERS`]
 //! whitelist by design — the contract is that the *pre-existing* observable
 //! behavior is byte-identical, while new counters may appear alongside it.
 //!
@@ -17,8 +17,25 @@
 //! Only `sta.incremental.nets_touched` and `sta.incremental.seed_pins`
 //! moved (the readable columns below; d1 4,380 → 139 and 10,764 → 4,858),
 //! and the trace shapes differ only in those two counters' lines and the
-//! `sta.incremental.seed_pins_per_update` histogram. `design_hash` and
-//! `outcome_hash` are the pre-refactor values, unchanged.
+//! `sta.incremental.seed_pins_per_update` histogram.
+//!
+//! All four hashes were re-taken once more when §4.2 placement became a
+//! closed form (`mbr_core::placement::optimal_corner_lp`). Where a pick's
+//! optimal corners form an interval, the closed form takes its upper end,
+//! while the simplex it replaced stopped at whichever end its pivoting
+//! reached: 60 of the 1,491 d1–d5 placements at default budgets moved, each
+//! at equal HPWL (`tests/placement_oracle.rs` checks the cost of every
+//! placement against that simplex). The moved corners move the composed
+//! designs (`design_hash`) and the outcomes' legalization displacement and
+//! moved-cell counts (`outcome_hash`; d3 also resizes 193 MBRs instead of
+//! 192). Of the readable columns, `nodes_explored` is unchanged; d1
+//! `gap_probes` 6,675 → 6,562 and `seed_pins` 4,858 → 4,839, d2
+//! `gap_probes` 5,260 → 5,310, d3 5,913 → 5,936 with `nets_touched`
+//! 244 → 243 and `seed_pins` 8,978 → 8,960, d4 `gap_probes`
+//! 5,452 → 5,439, d5 9,829 → 9,777. `lp.simplex.pivots` falls with the
+//! placement LP gone (d1 at default budgets, `PERF_baseline.json`:
+//! 27,032 → 3,529), which moves `counters_hash` and `trace_hash` on every
+//! preset.
 
 use std::sync::Arc;
 
@@ -96,56 +113,56 @@ struct Golden {
 const GOLDENS: &[Golden] = &[
     Golden {
         name: "d1",
-        design_hash: 0x478a18f1d3d6cb71,
-        outcome_hash: 0x13db5e4115bc0fa8,
-        counters_hash: 0x9294d2ab8eda0a7f,
-        trace_hash: 0x8774cc47d7184c94,
+        design_hash: 0x19e1083eaa9043f1,
+        outcome_hash: 0x6e98e22864a044c6,
+        counters_hash: 0x4c316713f912ccd3,
+        trace_hash: 0xc9bf93db94f824a5,
         nodes_explored: 2366,
-        gap_probes: 6675,
+        gap_probes: 6562,
         nets_touched: 139,
-        seed_pins: 4858,
+        seed_pins: 4839,
     },
     Golden {
         name: "d2",
-        design_hash: 0xdead7de0571f4d2c,
-        outcome_hash: 0xcd48f3899aa906fa,
-        counters_hash: 0x32906182909f2131,
-        trace_hash: 0x43df98e90521583d,
+        design_hash: 0xa6d4bf6509bef14c,
+        outcome_hash: 0xcb66ba8c48c2178b,
+        counters_hash: 0x39ea54f936ff1403,
+        trace_hash: 0xf94745f84f4d0fae,
         nodes_explored: 1046,
-        gap_probes: 5260,
+        gap_probes: 5310,
         nets_touched: 169,
         seed_pins: 5772,
     },
     Golden {
         name: "d3",
-        design_hash: 0x55184ba35c41b233,
-        outcome_hash: 0xb23f2be43b54b7e1,
-        counters_hash: 0x62ad0ae060664717,
-        trace_hash: 0x04f0e4da65bf6e17,
+        design_hash: 0xaf6bdfe538164a85,
+        outcome_hash: 0xd999021d7a089196,
+        counters_hash: 0x775eda24c1d9e52b,
+        trace_hash: 0x688fde613639a8e5,
         nodes_explored: 7861,
-        gap_probes: 5913,
-        nets_touched: 244,
-        seed_pins: 8978,
+        gap_probes: 5936,
+        nets_touched: 243,
+        seed_pins: 8960,
     },
     Golden {
         name: "d4",
-        design_hash: 0x57ff72fe92badf31,
-        outcome_hash: 0x83f3187028b49c63,
-        counters_hash: 0x5374c07774e234e6,
-        trace_hash: 0x18f589b19ac1b0d4,
+        design_hash: 0x11205bbe19b4e601,
+        outcome_hash: 0xdbb503bc28bafc66,
+        counters_hash: 0x6796a9779c713c00,
+        trace_hash: 0xc8aa38a18b65b307,
         nodes_explored: 2076,
-        gap_probes: 5452,
+        gap_probes: 5439,
         nets_touched: 253,
         seed_pins: 6776,
     },
     Golden {
         name: "d5",
-        design_hash: 0x2ae05bb68fec52a0,
-        outcome_hash: 0x6b4fadd71b3fecf3,
-        counters_hash: 0xcda6ed2d5430e2a9,
-        trace_hash: 0xf4dc9426fa819203,
+        design_hash: 0x9b2f868943335d13,
+        outcome_hash: 0x2c3fd2bcc8829b1b,
+        counters_hash: 0x7bacc3e415d16193,
+        trace_hash: 0xbcaae328ebc8308a,
         nodes_explored: 1178,
-        gap_probes: 9829,
+        gap_probes: 9777,
         nets_touched: 227,
         seed_pins: 8626,
     },
