@@ -16,12 +16,9 @@ fn main() {
         let design = spec.generate(&lib);
         let mut row = vec![spec.name.clone()];
         for period in PERIODS {
-            let base = DelayModel::default();
             let model = DelayModel {
                 clock_period: period,
-                wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-                wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-                ..base
+                ..spec.delay_model()
             };
             let sta = Sta::new(&design, &lib, model).unwrap();
             let r = sta.report();

@@ -17,7 +17,7 @@
 //! JSONL trace; pass `--report` for a span/counter summary of the run.
 
 use mbr_bench::{library, run, save_pct, RunResult, Strategy};
-use mbr_core::{ComposerOptions, DesignMetrics};
+use mbr_core::{BitWidthHistogram, ComposerOptions, DesignMetrics};
 use mbr_obs::summary::{stage_table, Summary};
 use mbr_workloads::{all_presets, sweep_presets};
 
@@ -214,13 +214,11 @@ fn table1() {
         avg(&reg_saves),
         avg(&comp_merged),
     );
-    println!("<!-- table1:begin -->");
-    println!("| Design | Regs base→ours (save) | Comp regs | Clk bufs | Clk cap pF (save) | TNS ns | Fail EP | Ovfl edges | WL clk+sig mm |");
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for row in &markdown {
-        println!("{row}");
-    }
-    println!("<!-- table1:end -->");
+    markdown_block(
+        "table1",
+        "| Design | Regs base→ours (save) | Comp regs | Clk bufs | Clk cap pF (save) | TNS ns | Fail EP | Ovfl edges | WL clk+sig mm |",
+        &markdown,
+    );
     println!();
 }
 
@@ -243,7 +241,22 @@ fn fig3() {
     println!();
 }
 
-/// Fig. 5: bit-width histograms before/after composition.
+/// Prints EXPERIMENTS.md's markdown block for one experiment between its
+/// `<!-- name:begin -->`/`<!-- name:end -->` markers, so `scripts/verify.sh`
+/// can diff it against the file.
+fn markdown_block(name: &str, header: &str, rows: &[String]) {
+    println!("<!-- {name}:begin -->");
+    println!("{header}");
+    let columns = header.matches('|').count() - 1;
+    println!("|{}", "---|".repeat(columns));
+    for row in rows {
+        println!("{row}");
+    }
+    println!("<!-- {name}:end -->");
+}
+
+/// Fig. 5: bit-width histograms before/after composition, as a console
+/// listing and then as the markdown rows of EXPERIMENTS.md.
 fn fig5() {
     println!("== Fig. 5: MBR bit widths before & after composition ==");
     let lib = library();
@@ -251,6 +264,7 @@ fn fig5() {
     let runs = sweep_presets(&presets, |spec| {
         run(spec, &lib, ComposerOptions::default(), Strategy::Ilp)
     });
+    let mut markdown = Vec::new();
     for (spec, RunResult { base, ours, .. }) in presets.iter().zip(runs) {
         print!("{:>3} before:", spec.name.to_uppercase());
         for w in [1u8, 2, 3, 4, 8] {
@@ -273,15 +287,30 @@ fn fig5() {
         if odd > 0 {
             println!("      (plus {odd} incomplete MBRs at non-library connected widths)");
         }
+        let counts = |h: &BitWidthHistogram| [1u8, 2, 4, 8].map(|w| h.count(w));
+        let [b1, b2, b4, b8] = counts(&base.histogram);
+        let [a1, a2, a4, a8] = counts(&ours.histogram);
+        let incomplete = if odd > 0 {
+            format!(" (+{odd} incomplete)")
+        } else {
+            String::new()
+        };
+        markdown.push(format!(
+            "| {} | {b1} / {b2} / {b4} / {b8} | {a1} / {a2} / {a4} / **{a8}**{incomplete} |",
+            spec.name.to_uppercase(),
+        ));
     }
+    markdown_block("fig5", "| Design | before | after |", &markdown);
     println!();
 }
 
-/// Fig. 6: ILP vs greedy heuristic, normalized register count.
+/// Fig. 6: ILP vs greedy heuristic, normalized register count, as a console
+/// listing and then as the markdown rows of EXPERIMENTS.md.
 fn fig6() {
     println!("== Fig. 6: normalized total registers, ILP vs maximal-clique heuristic ==");
     let lib = library();
     let mut gains = Vec::new();
+    let mut markdown = Vec::new();
     let presets = all_presets();
     let runs = sweep_presets(&presets, |spec| {
         let ilp = run(spec, &lib, ComposerOptions::default(), Strategy::Ilp);
@@ -300,10 +329,20 @@ fn fig6() {
             n_heur,
             n_ilp,
         );
+        markdown.push(format!(
+            "| {} | {n_heur:.3} | {n_ilp:.3} | {} % |",
+            spec.name.to_uppercase(),
+            format!("{gain:+.1}").replace('-', "−"),
+        ));
     }
     println!(
         "average ILP advantage: {:.1} % (paper: 12 %)",
         gains.iter().sum::<f64>() / gains.len() as f64
+    );
+    markdown_block(
+        "fig6",
+        "| Design | heuristic | ILP | ILP advantage |",
+        &markdown,
     );
     println!();
 }

@@ -46,13 +46,7 @@ pub fn library() -> Library {
 
 /// The delay model a spec asks for.
 pub fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
+    spec.delay_model()
 }
 
 /// Generates a spec's design (convenience).

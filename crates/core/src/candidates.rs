@@ -6,18 +6,22 @@
 //! count matches a library width — or, when incomplete MBRs are allowed,
 //! rounds up to one under the area rule — becomes a candidate, weighted by
 //! the Section 3.2 blocking heuristic.
+//!
+//! Batch and session passes run the same enumeration. A session pass also
+//! keys each partition on its content and reuses the candidate set and
+//! assignment solution of a partition that the previous pass held with the
+//! same key ([`PartitionCache`], which holds that one pass).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mbr_geom::{Point, Rect};
 use mbr_graph::{partition_geometric, BitGraph, SubcliqueStep};
 use mbr_liberty::{CellId, Library, ScanStyle};
 use mbr_netlist::{Design, InstId};
-use mbr_obs::{self as obs, Counter, Gauge, Histogram, HistogramData};
+use mbr_obs::{self as obs, Counter, Histogram, HistogramData};
 
 use crate::compat::CompatGraph;
-use crate::stages::assign::Selection;
-use crate::stages::candidates::Enumeration;
 use crate::u64set::U64Set;
 use crate::weight::{candidate_weight, BlockerIndex, RegisterIndex};
 use crate::ComposerOptions;
@@ -58,9 +62,6 @@ pub struct CandidateSet {
     pub candidates: Vec<CandidateMbr>,
     /// Local element indices per candidate (parallel to `candidates`).
     pub member_idx: Vec<Vec<usize>>,
-    /// The partition's maximal cliques, as local element index lists (used
-    /// by the Fig. 6 greedy baseline, which never sees sub-cliques).
-    pub maximal_cliques: Vec<Vec<usize>>,
     /// Whether enumeration hit the per-partition cap.
     pub truncated: bool,
 }
@@ -83,9 +84,62 @@ pub fn enumerate_candidates(
     compat: &CompatGraph,
     options: &ComposerOptions,
 ) -> Vec<CandidateSet> {
+    enumerate(design, lib, compat, options, None)
+        .sets
+        .into_iter()
+        .map(Arc::unwrap_or_clone)
+        .collect()
+}
+
+/// The enumeration result the assignment stage consumes: the candidate sets
+/// in partition order and, when enumerated against a [`PartitionCache`],
+/// each partition's memo key and the memoized solution of every hit.
+pub(crate) struct Enumeration {
+    /// Candidate sets, in partition order; a memo hit shares its set with
+    /// the memo instead of copying it.
+    pub sets: Vec<Arc<CandidateSet>>,
+    /// Per set: the memoized assignment solution (selected candidate
+    /// indices, branch-and-bound nodes) when the partition hit the memo.
+    pub reused: Vec<Option<(Vec<usize>, u64)>>,
+    /// Per set: its memo key ([`partition_key`]); empty without a memo.
+    pub keys: Vec<Vec<u64>>,
+}
+
+/// Enumerates every partition, or, given the previous pass's `memo`, only
+/// the partitions whose content key misses it; a hit shares the memoized
+/// candidate set and carries its assignment solution.
+///
+/// Counter discipline: [`Counter::CandidatePartitions`] reports the full
+/// partition count (it describes the design, not the work), while
+/// [`Counter::CandidateSubsetsVisited`] and
+/// [`Counter::CandidatesEnumerated`] report enumeration work only, so a
+/// session pass reports its savings against batch. Only a memo pass keys
+/// its partitions and emits [`Counter::SessionPartitionsReused`] and
+/// [`Counter::SessionPartitionsRecomputed`].
+pub(crate) fn enumerate(
+    design: &Design,
+    lib: &Library,
+    compat: &CompatGraph,
+    options: &ComposerOptions,
+    memo: Option<&PartitionCache>,
+) -> Enumeration {
     let index = RegisterIndex::build(design);
     let positions = compat.clock_positions();
     let partitions = partition_geometric(&compat.graph, &positions, options.partition_max_nodes);
+    let (keys, hits): (Vec<Vec<u64>>, Vec<Option<&MemoSlot>>) = match memo {
+        Some(memo) => partitions
+            .iter()
+            .map(|part| {
+                let key = partition_key(design, &index, compat, part);
+                let hit = memo.slots.get(&key);
+                (key, hit)
+            })
+            .unzip(),
+        None => (Vec::new(), vec![None; partitions.len()]),
+    };
+    let fresh: Vec<usize> = (0..partitions.len())
+        .filter(|&i| hits[i].is_none())
+        .collect();
 
     let ctx = EnumCtx {
         design,
@@ -99,26 +153,47 @@ pub fn enumerate_candidates(
     // flushes the counters once, so the trace is identical at every thread
     // count (results arrive in partition order by `par_map`'s contract).
     let results: Vec<(CandidateSet, PartitionWork)> =
-        mbr_par::par_map(options.threads, &partitions, |_, part: &Vec<usize>| {
-            enumerate_partition(&ctx, part)
+        mbr_par::par_map(options.threads, &fresh, |_, &i| {
+            enumerate_partition(&ctx, &partitions[i])
         });
     let mut work = PartitionWork::default();
-    let mut sets: Vec<CandidateSet> = Vec::with_capacity(results.len());
-    for (set, w) in results {
-        work.add(&w);
-        sets.push(set);
+    let mut enumerated = 0u64;
+    let mut results = results.into_iter();
+    let mut sets: Vec<Arc<CandidateSet>> = Vec::with_capacity(partitions.len());
+    let mut reused: Vec<Option<(Vec<usize>, u64)>> = Vec::with_capacity(partitions.len());
+    for hit in hits {
+        match hit {
+            Some(slot) => {
+                sets.push(Arc::clone(&slot.set));
+                reused.push(Some(slot.solve.clone()));
+            }
+            None => {
+                let (set, w) = results.next().expect("one result per fresh partition");
+                work.add(&w);
+                enumerated += set.candidates.len() as u64;
+                sets.push(Arc::new(set));
+                reused.push(None);
+            }
+        }
     }
     obs::counter(Counter::CandidatePartitions, partitions.len() as u64);
     work.flush();
-    obs::counter(
-        Counter::CandidatesEnumerated,
-        sets.iter().map(|s| s.candidates.len() as u64).sum(),
-    );
+    obs::counter(Counter::CandidatesEnumerated, enumerated);
+    if memo.is_some() {
+        let recomputed = fresh.len() as u64;
+        obs::counter(
+            Counter::SessionPartitionsReused,
+            partitions.len() as u64 - recomputed,
+        );
+        obs::counter(Counter::SessionPartitionsRecomputed, recomputed);
+    }
+    // Hits and fresh partitions alike: the distribution describes the
+    // workload the assignment stage is about to see.
     obs::histogram(
         Histogram::CandidatesPerPartition,
-        &candidate_size_hist(sets.iter()),
+        &candidate_size_hist(sets.iter().map(|s| &**s)),
     );
-    sets
+    Enumeration { sets, reused, keys }
 }
 
 /// One partition's enumeration work, summed over partitions and flushed on
@@ -198,7 +273,6 @@ fn enumerate_partition(ctx: &EnumCtx<'_>, part: &[usize]) -> (CandidateSet, Part
         elements: elements.clone(),
         candidates: Vec::new(),
         member_idx: Vec::new(),
-        maximal_cliques: Vec::new(),
         truncated: false,
     };
 
@@ -251,7 +325,6 @@ fn enumerate_partition(ctx: &EnumCtx<'_>, part: &[usize]) -> (CandidateSet, Part
     // byte-identical (`tests/pruning.rs`).
     let mut prior_cliques: Vec<u64> = Vec::new();
     for clique in bg.maximal_cliques() {
-        set.maximal_cliques.push(mask_locals(clique));
         if clique.count_ones() < 2 {
             continue;
         }
@@ -436,23 +509,14 @@ fn validate_candidate(
     ))
 }
 
-/// One memoized partition: its content key, the pass that last used it,
-/// its candidate set (shared with the passes that reuse it) and the raw
-/// assignment solution computed for it (selected candidate indices and
-/// branch-and-bound nodes).
+/// One memoized partition: its candidate set (shared with the pass that
+/// reuses it) and the raw assignment solution computed for it (selected
+/// candidate indices and branch-and-bound nodes).
 #[derive(Clone, Debug)]
 struct MemoSlot {
-    key: Vec<u64>,
-    last_used: u64,
     set: Arc<CandidateSet>,
     solve: (Vec<usize>, u64),
 }
-
-/// Passes a memo slot survives without being hit before eviction reclaims
-/// it. An ECO that perturbs a partition's key and a later ECO that
-/// restores it land within a handful of passes in practice; anything
-/// colder is dead weight the session would otherwise carry forever.
-const MEMO_RETENTION_PASSES: u64 = 8;
 
 /// Cross-pass memo of candidate enumeration *and* assignment solving, keyed
 /// by exact partition content, owned by a [`crate::CompositionSession`].
@@ -469,119 +533,27 @@ const MEMO_RETENTION_PASSES: u64 = 8;
 /// options are session constants. Equal key ⟹ bitwise-equal candidate set
 /// and solution, so a hit replays the memo verbatim.
 ///
-/// Storage is arena-shaped (DESIGN.md §14): slots live in a dense `Vec`
-/// (freed slots recycled through a free list), reached through a sorted
-/// `(key hash, slot)` index — binary search on the hash, full-key compare
-/// on the (rare) colliding run. Each hit re-stamps its slot with the pass
-/// number; [`PartitionCache::begin_pass`] evicts slots cold for more than
-/// [`MEMO_RETENTION_PASSES`], so a long session's memo tracks its working
-/// set instead of its history.
+/// The memo holds exactly the partitions of the last pass that reached
+/// [`PartitionCache::absorb`], so an ECO pass hits the partitions the ECOs
+/// since that pass did not reach.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PartitionCache {
-    /// Dense slot arena; `None` slots are free and listed in `free`.
-    slots: Vec<Option<MemoSlot>>,
-    /// Freed slot indices, reused before the arena grows.
-    free: Vec<u32>,
-    /// `(key hash, slot)` pairs sorted ascending.
-    index: Vec<(u64, u32)>,
-    /// Current pass number; stamps hits and fresh stores.
-    pass: u64,
-}
-
-/// FNV-1a over the key words — deterministic and collision-resistant
-/// enough that the sorted index degenerates to full-key compares only on
-/// hash ties.
-fn memo_key_hash(key: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &word in key {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    slots: BTreeMap<Vec<u64>, MemoSlot>,
 }
 
 impl PartitionCache {
-    /// Opens a new session pass: advances the pass stamp and evicts every
-    /// slot that has not been hit for [`MEMO_RETENTION_PASSES`] passes.
-    pub(crate) fn begin_pass(&mut self) {
-        self.pass += 1;
-        let horizon = self.pass.saturating_sub(MEMO_RETENTION_PASSES);
-        let mut evicted = false;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|s| s.last_used < horizon) {
-                *slot = None;
-                self.free.push(i as u32);
-                evicted = true;
-            }
-        }
-        if evicted {
-            let slots = &self.slots;
-            self.index.retain(|&(_, s)| slots[s as usize].is_some());
-        }
-    }
-
-    /// Number of live memo slots.
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// The index position of `key`'s entry, if memoized.
-    fn find(&self, hash: u64, key: &[u64]) -> Option<usize> {
-        let start = self.index.partition_point(|&(h, _)| h < hash);
-        self.index[start..]
-            .iter()
-            .take_while(|&&(h, _)| h == hash)
-            .position(|&(_, s)| {
-                self.slots[s as usize]
-                    .as_ref()
-                    .is_some_and(|m| m.key == key)
-            })
-            .map(|offset| start + offset)
-    }
-
-    /// Looks up a partition by content key; a hit re-stamps the slot.
-    fn lookup(&mut self, key: &[u64]) -> Option<&MemoSlot> {
-        let pos = self.find(memo_key_hash(key), key)?;
-        let slot = self.index[pos].1 as usize;
-        let memo = self.slots[slot].as_mut()?;
-        memo.last_used = self.pass;
-        Some(memo)
-    }
-
-    /// Stores the freshly enumerated partitions of a pass, together with
-    /// their just-computed assignment solutions. Failed solves are not
-    /// cached (the pass itself errors out anyway). Flushes the
-    /// [`Gauge::PartitionMemoSlots`] end-of-pass memo size.
-    pub(crate) fn absorb(&mut self, enumeration: &Enumeration, selected: &Selection) {
-        for (set_idx, key) in &enumeration.fresh {
-            if let Some(Some(solve)) = selected.solves.get(*set_idx) {
-                let memo = MemoSlot {
-                    key: key.clone(),
-                    last_used: self.pass,
-                    set: Arc::clone(&enumeration.sets[*set_idx]),
-                    solve: solve.clone(),
-                };
-                let hash = memo_key_hash(key);
-                // Fresh work is a lookup miss, and two partitions of one
-                // pass never share a key (it lists their members).
-                debug_assert!(self.find(hash, key).is_none(), "fresh key memoized");
-                let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.slots[s as usize] = Some(memo);
-                        s
-                    }
-                    None => {
-                        self.slots.push(Some(memo));
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                let at = self.index.partition_point(|&entry| entry < (hash, slot));
-                self.index.insert(at, (hash, slot));
-            }
-        }
-        obs::gauge(Gauge::PartitionMemoSlots, self.live() as f64);
+    /// Replaces the memo with this pass's partitions, hits and fresh alike,
+    /// and their assignment solutions (`solves`, in partition order). Runs
+    /// only after every partition solved, so a pass that fails earlier
+    /// leaves the memo as it was.
+    pub(crate) fn absorb(&mut self, enumeration: Enumeration, solves: Vec<(Vec<usize>, u64)>) {
+        self.slots = enumeration
+            .keys
+            .into_iter()
+            .zip(enumeration.sets)
+            .zip(solves)
+            .map(|((key, set), solve)| (key, MemoSlot { set, solve }))
+            .collect();
     }
 }
 
@@ -646,92 +618,6 @@ fn partition_key(
         key.push(c.y as u64);
     }
     key
-}
-
-/// Session-backend enumeration: identical partitioning to
-/// [`enumerate_candidates`], but partitions whose content key hits the
-/// cache reuse their memoized candidate set and assignment solution; only
-/// misses enumerate (in parallel, in partition order).
-///
-/// Counter discipline: [`Counter::CandidatePartitions`] reports the full
-/// partition count (it describes the design, not the work), while
-/// [`Counter::CandidateSubsetsVisited`] and
-/// [`Counter::CandidatesEnumerated`] report *fresh work only* — they are
-/// the incremental path's headline savings, asserted strictly below the
-/// batch numbers by the `incr` bench suite.
-pub(crate) fn enumerate_incremental(
-    design: &Design,
-    lib: &Library,
-    compat: &CompatGraph,
-    options: &ComposerOptions,
-    cache: &mut PartitionCache,
-) -> Enumeration {
-    let index = RegisterIndex::build(design);
-    let positions = compat.clock_positions();
-    let partitions = partition_geometric(&compat.graph, &positions, options.partition_max_nodes);
-    let keys: Vec<Vec<u64>> = partitions
-        .iter()
-        .map(|part| partition_key(design, &index, compat, part))
-        .collect();
-
-    cache.begin_pass();
-    let mut sets: Vec<Option<Arc<CandidateSet>>> = vec![None; partitions.len()];
-    let mut reused: Vec<Option<(Vec<usize>, u64)>> = vec![None; partitions.len()];
-    let mut fresh_work: Vec<(usize, &Vec<usize>)> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        match cache.lookup(key) {
-            Some(memo) => {
-                sets[i] = Some(Arc::clone(&memo.set));
-                reused[i] = Some(memo.solve.clone());
-            }
-            None => fresh_work.push((i, &partitions[i])),
-        }
-    }
-
-    let ctx = EnumCtx {
-        design,
-        lib,
-        compat,
-        index: &index,
-        options,
-    };
-    let results: Vec<(usize, CandidateSet, PartitionWork)> =
-        mbr_par::par_map(options.threads, &fresh_work, |_, &(i, part)| {
-            let (set, work) = enumerate_partition(&ctx, part);
-            (i, set, work)
-        });
-
-    let mut fresh: Vec<(usize, Vec<u64>)> = Vec::with_capacity(results.len());
-    let mut work = PartitionWork::default();
-    let mut enumerated_fresh = 0u64;
-    for (i, set, w) in results {
-        work.add(&w);
-        enumerated_fresh += set.candidates.len() as u64;
-        fresh.push((i, keys[i].clone()));
-        sets[i] = Some(Arc::new(set));
-    }
-    let hits = (partitions.len() - fresh.len()) as u64;
-    obs::counter(Counter::CandidatePartitions, partitions.len() as u64);
-    work.flush();
-    obs::counter(Counter::CandidatesEnumerated, enumerated_fresh);
-    obs::counter(Counter::SessionPartitionsReused, hits);
-    obs::counter(Counter::SessionPartitionsRecomputed, fresh.len() as u64);
-
-    let sets: Vec<Arc<CandidateSet>> = sets
-        .into_iter()
-        .map(|s| s.expect("every partition is either cached or fresh"))
-        .collect();
-    // Cached and fresh partitions alike: the distribution describes the
-    // workload the assignment stage is about to see.
-    obs::histogram(
-        Histogram::CandidatesPerPartition,
-        &candidate_size_hist(sets.iter().map(|s| &**s)),
-    );
-    Enumeration {
-        sets,
-        reused,
-        fresh,
-    }
 }
 
 /// The set bits of `mask`, ascending.
@@ -1052,39 +938,5 @@ mod cap_tests {
         // Singletons always survive, so the ILP stays feasible.
         let singles = set.candidates.iter().filter(|c| c.is_singleton()).count();
         assert_eq!(singles, set.elements.len());
-    }
-
-    /// Maximal cliques recorded for the baseline cover all elements.
-    #[test]
-    fn maximal_cliques_cover_every_element() {
-        let lib = standard_library();
-        let die = Rect::new(Point::new(0, 0), Point::new(90_000, 90_000));
-        let mut d = Design::new("t", die);
-        let clk = d.add_net("clk");
-        let cell = lib.cell_by_name("DFF_1X1").unwrap();
-        for i in 0..10i64 {
-            d.add_register(
-                format!("r{i}"),
-                &lib,
-                cell,
-                Point::new(1_000 + 2_000 * i, 600),
-                RegisterAttrs::clocked(clk),
-            );
-        }
-        let opts = ComposerOptions::default();
-        let sta = Sta::new(&d, &lib, DelayModel::default()).unwrap();
-        let compat = CompatGraph::build(&d, &lib, &sta, &opts);
-        for set in enumerate_candidates(&d, &lib, &compat, &opts) {
-            let mut covered = vec![false; set.elements.len()];
-            for clique in &set.maximal_cliques {
-                for &e in clique {
-                    covered[e] = true;
-                }
-            }
-            assert!(
-                covered.iter().all(|&c| c),
-                "every node sits in some maximal clique"
-            );
-        }
     }
 }

@@ -205,11 +205,48 @@ impl Composer {
         )
     }
 
-    /// Runs the greedy baseline the paper compares against in Fig. 6 (after
-    /// \\[8\\] and \\[12\\]): the same clique enumeration, compatibility rules and
-    /// mapping, but candidates are selected greedily by ascending weight
-    /// instead of solving the assignment ILP, and incomplete MBRs are not
-    /// used (they are this paper's contribution).
+    /// Runs the Fig. 6 comparison baseline: the paper benchmarks its ILP
+    /// against "a heuristic-algorithm-based approach, similar to that
+    /// performed in \\[8\\] and \\[12\\]", maximal clique identification plus
+    /// greedy MBR mapping.
+    ///
+    /// The baseline shares every other stage with [`Composer::compose`]
+    /// (the same compatibility rules, candidate enumeration and weights,
+    /// mapping, placement, legalization, skew and sizing), so Fig. 6
+    /// isolates exactly the selection policy:
+    ///
+    /// * **ILP**: globally minimizes `Σ wᵢ xᵢ` over each partition, and may
+    ///   use incomplete MBRs (both are this paper's contributions);
+    /// * **heuristic**: selects candidates greedily by ascending weight,
+    ///   stranding registers wherever its early picks overlap better later
+    ///   ones, and never uses incomplete MBRs.
+    ///
+    /// On the synthetic D1–D5 designs the ILP wins on every design (see
+    /// `EXPERIMENTS.md`), the direction of the paper's ~12 % average
+    /// advantage in normalized register count.
+    ///
+    /// # Examples
+    ///
+    /// ```no_run
+    /// use mbr_core::{Composer, ComposerOptions};
+    /// use mbr_liberty::standard_library;
+    /// use mbr_sta::DelayModel;
+    ///
+    /// # fn load(_: &mbr_liberty::Library) -> mbr_netlist::Design { unimplemented!() }
+    /// let lib = standard_library();
+    /// let composer = Composer::new(ComposerOptions::default(), DelayModel::default());
+    ///
+    /// let mut ilp_design = load(&lib);
+    /// let ilp = composer.compose(&mut ilp_design, &lib)?;
+    ///
+    /// let mut heur_design = load(&lib);
+    /// let heuristic = composer.compose_heuristic(&mut heur_design, &lib)?;
+    ///
+    /// // Fig. 6: normalized register count, ILP vs heuristic.
+    /// let norm = ilp.registers_after as f64 / heuristic.registers_after as f64;
+    /// assert!(norm <= 1.0 + 1e-9);
+    /// # Ok::<(), mbr_core::ComposeError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -375,11 +412,44 @@ impl Composer {
 }
 
 #[cfg(test)]
-mod stitch_tests {
+mod tests {
     use super::*;
     use mbr_geom::{Point, Rect};
     use mbr_liberty::standard_library;
     use mbr_netlist::{RegisterAttrs, ScanInfo};
+
+    /// On a cluster of free-floating flops both strategies should collapse
+    /// everything into maximal MBRs (no blockers, no timing pressure).
+    #[test]
+    fn strategies_agree_on_trivial_clusters() {
+        let lib = standard_library();
+        let build = || {
+            let die = Rect::new(Point::new(0, 0), Point::new(90_000, 90_000));
+            let mut d = Design::new("t", die);
+            let clk = d.add_net("clk");
+            let cell = lib.cell_by_name("DFF_1X1").unwrap();
+            for i in 0..8i64 {
+                d.add_register(
+                    format!("r{i}"),
+                    &lib,
+                    cell,
+                    Point::new(1_000 + 1_500 * i, 600),
+                    RegisterAttrs::clocked(clk),
+                );
+            }
+            d
+        };
+        let composer = Composer::new(ComposerOptions::default(), DelayModel::default());
+        let mut a = build();
+        let ilp = composer.compose(&mut a, &lib).unwrap();
+        let mut b = build();
+        let heur = composer.compose_heuristic(&mut b, &lib).unwrap();
+        assert_eq!(
+            ilp.registers_after, 1,
+            "eight 1-bit flops fold into one 8-bit MBR"
+        );
+        assert_eq!(heur.registers_after, 1);
+    }
 
     #[test]
     fn flow_can_stitch_scan_chains_after_composition() {

@@ -25,13 +25,14 @@
 //!    ([`mbr_cts`], [`sizing`]).
 //!
 //! The greedy maximal-clique baseline the paper compares against in Fig. 6
-//! lives in [`baseline`]; Table 1 / Fig. 5 metrics in [`metrics`]; the
-//! paper's stated future-work extension (decompose pre-existing MBRs and
-//! recompose) in [`Composer::compose_with_decomposition`].
+//! is [`Composer::compose_heuristic`]; Table 1 / Fig. 5 metrics live in
+//! [`metrics`]; the paper's stated future-work extension (decompose
+//! pre-existing MBRs and recompose) in
+//! [`Composer::compose_with_decomposition`].
 //!
 //! For *incremental* use — the paper's motivating scenario of repeated
 //! ECO-driven re-composition — open a [`CompositionSession`]: it keeps the
-//! timing graph and partition memo alive between passes,
+//! timing graph and the last pass's partition memo alive between passes,
 //! applies [`Eco`]s while recording the instances they touch, and
 //! guarantees each [`CompositionSession::recompose`] is byte-identical to a
 //! fresh batch [`Composer::compose`] on the mutated design.
@@ -52,7 +53,6 @@
 //! # Ok::<(), mbr_core::ComposeError>(())
 //! ```
 
-pub mod baseline;
 pub mod candidates;
 pub mod compat;
 pub mod metrics;

@@ -3,10 +3,11 @@
 //!
 //! A [`CompositionSession`] owns an evolving *pre-composition* design plus
 //! the two persistent analyses of the flow that pay for their upkeep —
-//! the timing graph and the partition/ILP memo. Compatibility, §4.2
-//! placement, legalization and useful skew are rebuilt every pass: caches
-//! for them measured slower than the rebuild, and a placement is a
-//! closed-form selection over its pins.
+//! the timing graph and the partition/ILP memo, which holds the partitions
+//! of the last pass only (every memo hit measured on the ECO workloads came
+//! from the pass before). Compatibility, §4.2 placement, legalization and
+//! useful skew are rebuilt every pass: caches for them measured slower than
+//! the rebuild, and a placement is a closed-form selection over its pins.
 //! [`CompositionSession::open`] runs the full flow once (pass 0);
 //! [`CompositionSession::apply`] records an [`Eco`] and marks the instances
 //! it touched; [`CompositionSession::recompose`] re-runs the flow reusing
@@ -422,7 +423,8 @@ impl fmt::Display for EcoScript {
 pub(crate) struct SessionState {
     /// Persistent timing graph, refreshed incrementally.
     pub(crate) sta: Option<Sta>,
-    /// Content-keyed memo of candidate enumeration and ILP solutions.
+    /// Content-keyed memo of the last pass's candidate sets and ILP
+    /// solutions.
     pub(crate) parts: PartitionCache,
 }
 

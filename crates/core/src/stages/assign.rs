@@ -15,14 +15,11 @@
 //! [`ComposeOutcome::ilp_nodes`] still totals exactly what a batch run
 //! reports).
 
-use mbr_liberty::Library;
 use mbr_lp::{SetPartition, SetPartitionError};
-use mbr_netlist::Design;
 use mbr_obs::{SpanHandle, TaskObs};
 
-use super::candidates::Enumeration;
 use super::Strategy;
-use crate::candidates::{CandidateMbr, CandidateSet};
+use crate::candidates::{CandidateMbr, CandidateSet, Enumeration};
 use crate::flow::{ComposeError, ComposeOutcome};
 use crate::ComposerOptions;
 
@@ -31,9 +28,8 @@ pub(crate) struct Selection {
     /// Selected non-singleton candidates, in partition order.
     pub picked: Vec<CandidateMbr>,
     /// Per set: the raw solution (all selected candidate indices and
-    /// branch-and-bound nodes), for cache absorption; `None` where the
-    /// solve failed.
-    pub solves: Vec<Option<(Vec<usize>, u64)>>,
+    /// branch-and-bound nodes), for the session's partition memo.
+    pub solves: Vec<(Vec<usize>, u64)>,
 }
 
 /// Candidate count from which a partition's ILP solves on the calling
@@ -45,8 +41,6 @@ const INLINE_SOLVE_MIN_CANDIDATES: usize = 256;
 
 /// Solves the assignment problem of every partition.
 pub(crate) fn run(
-    design: &Design,
-    lib: &Library,
     options: &ComposerOptions,
     strategy: Strategy,
     enumeration: &Enumeration,
@@ -77,7 +71,7 @@ pub(crate) fn run(
                 let sol = sp.solve_bounded(node_limit)?;
                 Ok((sol.selected, sol.nodes_explored))
             }
-            Strategy::Greedy => Ok((greedy_select(design, lib, set), 0)),
+            Strategy::Greedy => Ok((greedy_select(set), 0)),
         }
     };
 
@@ -123,13 +117,12 @@ pub(crate) fn run(
                         .filter(|&&ci| !set.candidates[ci].is_singleton())
                         .map(|&ci| set.candidates[ci].clone()),
                 );
-                selection.solves.push(Some((selected, nodes)));
+                selection.solves.push((selected, nodes));
             }
             Err(e) => {
                 if first_err.is_none() {
                     first_err = Some(e);
                 }
-                selection.solves.push(None);
             }
         }
     }
@@ -149,8 +142,7 @@ pub(crate) fn run(
 /// uses incomplete MBRs. Greedy selection strands registers wherever
 /// locally-best candidates overlap; the exact ILP packs them, which is
 /// precisely the advantage Fig. 6 measures.
-fn greedy_select(design: &Design, lib: &Library, set: &CandidateSet) -> Vec<usize> {
-    let _ = (design, lib);
+fn greedy_select(set: &CandidateSet) -> Vec<usize> {
     let mut order: Vec<usize> = (0..set.candidates.len())
         .filter(|&i| {
             let c = &set.candidates[i];

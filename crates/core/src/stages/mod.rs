@@ -13,15 +13,15 @@
 //!   `compose` behavior.
 //! * [`Backend::Session`] reuses a [`crate::session::SessionState`]: the
 //!   timing stage refreshes the persistent [`Sta`] incrementally, and
-//!   candidate enumeration + the assignment ILP are memoized per partition
-//!   by exact content. Every other stage, §4.2 placement included, runs
-//!   the batch code. A session pass still produces byte-identical results
-//!   to a batch run on the same design by construction — every reuse is
-//!   either proven bitwise-equal (incremental STA) or keyed on every input
-//!   it reads (partition candidates); only the *work* counters differ.
+//!   candidate enumeration + the assignment ILP reuse the previous pass's
+//!   partitions by exact content (the memo holds that one pass). Every
+//!   other stage, §4.2 placement included, runs the batch code. A session
+//!   pass still produces byte-identical results to a batch run on the same
+//!   design by construction — every reuse is either proven bitwise-equal
+//!   (incremental STA) or keyed on every input it reads (partition
+//!   candidates); only the *work* counters differ.
 
 pub(crate) mod assign;
-pub(crate) mod candidates;
 pub(crate) mod legalize;
 pub(crate) mod map_place;
 pub(crate) mod stitch;
@@ -37,6 +37,7 @@ use mbr_netlist::{Design, InstId};
 use mbr_obs::{self as obs, Counter, FlowStage, Span, StageTimings};
 use mbr_sta::{DelayModel, Sta};
 
+use crate::candidates;
 use crate::compat::CompatGraph;
 use crate::flow::{ComposeError, ComposeOutcome, StageDiagnostic};
 use crate::session::SessionState;
@@ -73,7 +74,7 @@ pub(crate) struct EcoDirty {
     pub touched: Vec<InstId>,
     /// A structural or global edit happened (register added/removed, clock
     /// period changed): the timing graph is rebuilt from scratch (the
-    /// content-keyed memos still apply).
+    /// content-keyed partition memo still applies).
     pub structural: bool,
     /// ECOs applied since the last pass (counter fodder).
     pub ecos: u64,
@@ -121,7 +122,7 @@ pub(crate) fn run_flow(
 
     // The session state splits into independently-borrowed caches up
     // front, so the stages below can hold each across the others' borrows.
-    let (sta_cache, mut parts_cache) = match backend {
+    let (sta_cache, memo) = match backend {
         Backend::Batch => (None, None),
         Backend::Session { state, eco } => (Some((&mut state.sta, eco)), Some(&mut state.parts)),
     };
@@ -157,10 +158,11 @@ pub(crate) fn run_flow(
     drop(span);
     timings.add(FlowStage::Compat, obs::now_ns() - t0);
 
-    // 3./4. Candidate enumeration with weights (Section 3).
+    // 3./4. Candidate enumeration with weights (Section 3). A session pass
+    // enumerates only the partitions its memo (the previous pass) misses.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Candidates.span_name());
-    let enumeration = candidates::run(design, lib, &compat, options, parts_cache.as_deref_mut());
+    let enumeration = candidates::enumerate(design, lib, &compat, options, memo.as_deref());
     drop(span);
     timings.add(FlowStage::Candidates, obs::now_ns() - t0);
     outcome.partitions = enumeration.sets.len();
@@ -169,12 +171,12 @@ pub(crate) fn run_flow(
     // 5. Assignment per partition (Section 3.1).
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Assignment.span_name());
-    let solved = assign::run(design, lib, options, strategy, &enumeration, &mut outcome);
+    let solved = assign::run(options, strategy, &enumeration, &mut outcome);
     drop(span);
     timings.add(FlowStage::Assignment, obs::now_ns() - t0);
-    let selected = solved?;
-    if let Some(cache) = parts_cache {
-        cache.absorb(&enumeration, &selected);
+    let assign::Selection { picked, solves } = solved?;
+    if let Some(memo) = memo {
+        memo.absorb(enumeration, solves);
     }
 
     // Checkpoint: the solution must be an exact cover of the composable
@@ -182,8 +184,7 @@ pub(crate) fn run_flow(
     // group must satisfy the §2/§3 compatibility rules post-solve.
     if paranoia >= Paranoia::Cheap {
         checkpoint(&mut outcome, &mut timings, FlowStage::Assignment, || {
-            let mut groups: Vec<MergeGroup> = selected
-                .picked
+            let mut groups: Vec<MergeGroup> = picked
                 .iter()
                 .map(|c| MergeGroup {
                     members: c.members.clone(),
@@ -215,7 +216,7 @@ pub(crate) fn run_flow(
     // same code under every backend.
     let t0 = obs::now_ns();
     let span = Span::enter(FlowStage::Mapping.span_name());
-    let new_mbrs = map_place::run(design, lib, &selected.picked, &regions, &mut outcome);
+    let new_mbrs = map_place::run(design, lib, &picked, &regions, &mut outcome);
     drop(span);
     timings.add(FlowStage::Mapping, obs::now_ns() - t0);
 

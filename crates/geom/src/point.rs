@@ -42,16 +42,6 @@ impl Point {
         (self.x - other.x).abs() + (self.y - other.y).abs()
     }
 
-    /// Squared Euclidean distance to `other`, exact in integers.
-    ///
-    /// Used where a rotation-invariant metric is preferable (e.g. geometric
-    /// matching in clock-tree construction) without taking square roots.
-    pub fn dist2(self, other: Point) -> i128 {
-        let dx = (self.x - other.x) as i128;
-        let dy = (self.y - other.y) as i128;
-        dx * dx + dy * dy
-    }
-
     /// 2-D cross product of `(b - self)` and `(c - self)`.
     ///
     /// Positive when `self → b → c` turns counter-clockwise, negative when

@@ -170,14 +170,6 @@ impl Rect {
             p.y.clamp(self.lo.y, self.hi.y),
         )
     }
-
-    /// Translates the rectangle by the vector `d`.
-    pub fn translate(&self, d: Point) -> Rect {
-        Rect {
-            lo: self.lo + d,
-            hi: self.hi + d,
-        }
-    }
 }
 
 impl fmt::Display for Rect {

@@ -151,11 +151,6 @@ impl LpProblem {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Solves the program with the built-in two-phase primal simplex.
     ///
     /// # Errors

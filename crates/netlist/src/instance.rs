@@ -45,17 +45,6 @@ pub enum PinKind {
     Port,
 }
 
-impl PinKind {
-    /// Whether this is a register data pin, and its bit index.
-    pub fn data_bit(self) -> Option<(bool, u8)> {
-        match self {
-            PinKind::D(b) => Some((true, b)),
-            PinKind::Q(b) => Some((false, b)),
-            _ => None,
-        }
-    }
-}
-
 /// A pin: owned by an instance, optionally connected to a net.
 ///
 /// `offset` is the pin location relative to the instance's lower-left corner;

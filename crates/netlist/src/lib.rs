@@ -52,7 +52,6 @@
 //! ```
 
 mod comb;
-mod compact;
 mod design;
 mod edit;
 mod ids;

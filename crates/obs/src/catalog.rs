@@ -193,18 +193,15 @@ pub enum Gauge {
     LegalizeMaxDisplacement,
     /// Timing arcs in the CSR arena after a from-scratch graph build.
     StaArenaArcs,
-    /// Occupied slots in the session's SoA partition memo after a pass.
-    PartitionMemoSlots,
 }
 
 impl Gauge {
     /// Every gauge, in catalog order.
-    pub const ALL: [Gauge; 5] = [
+    pub const ALL: [Gauge; 4] = [
         Gauge::WnsPs,
         Gauge::TnsPs,
         Gauge::LegalizeMaxDisplacement,
         Gauge::StaArenaArcs,
-        Gauge::PartitionMemoSlots,
     ];
 
     /// The stable dotted name used in traces.
@@ -214,7 +211,6 @@ impl Gauge {
             Gauge::TnsPs => "sta.tns_ps",
             Gauge::LegalizeMaxDisplacement => "place.legalize.max_displacement_dbu",
             Gauge::StaArenaArcs => "sta.arena.arcs",
-            Gauge::PartitionMemoSlots => "core.session.memo_slots",
         }
     }
 

@@ -41,6 +41,7 @@ use mbr_geom::{Dbu, Point, Rect};
 use mbr_liberty::{ClassId, Library};
 use mbr_netlist::{CombModel, Design, InstId, PinKind, RegisterAttrs, ScanInfo};
 use mbr_obs::{SpanHandle, TaskObs};
+use mbr_sta::DelayModel;
 use mbr_test::Rng;
 
 /// Parameters of a synthetic design. Build one of the presets with
@@ -91,6 +92,19 @@ impl DesignSpec {
     /// deterministic in `seed`.
     pub fn generate(&self, lib: &Library) -> Design {
         Generator::new(self, lib).run()
+    }
+
+    /// The suggested delay model: the default model at
+    /// [`DesignSpec::clock_period`], with wire R and C scaled by
+    /// [`DesignSpec::wire_scale`].
+    pub fn delay_model(&self) -> DelayModel {
+        let base = DelayModel::default();
+        DelayModel {
+            clock_period: self.clock_period,
+            wire_res_per_dbu: base.wire_res_per_dbu * self.wire_scale,
+            wire_cap_per_dbu: base.wire_cap_per_dbu * self.wire_scale,
+            ..base
+        }
     }
 }
 

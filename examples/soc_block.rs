@@ -11,20 +11,13 @@ use mbr::core::{Composer, ComposerOptions, DesignMetrics};
 use mbr::cts::CtsConfig;
 use mbr::liberty::standard_library;
 use mbr::place::CongestionConfig;
-use mbr::sta::DelayModel;
 use mbr::workloads::d1;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lib = standard_library();
     let spec = d1();
     let mut design = spec.generate(&lib);
-    let base_model = DelayModel::default();
-    let model = DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base_model.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base_model.wire_cap_per_dbu * spec.wire_scale,
-        ..base_model
-    };
+    let model = spec.delay_model();
     let cts = CtsConfig::default();
     let cong = CongestionConfig::default();
 

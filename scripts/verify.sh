@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Fast CI entrypoint: lints, the tier-1 gate, a build and self-check of the
-# benchmark, the member crates' tests, a figure reproduction, the Table 1
-# drift check, the cross-stage invariant check, the pruning differential
-# suites, a paper-scale (d6) bounded-compose smoke, and the exact
-# work-counter gates (d1, the d1 session, d1-d5 at default budgets).
+# benchmark, the member crates' tests, a figure reproduction, the Table 1,
+# Fig. 5 and Fig. 6 drift checks, the cross-stage invariant check, the
+# pruning differential suites, a paper-scale (d6) bounded-compose smoke, and
+# the exact work-counter gates (d1, the d1 session, d1-d5 at default
+# budgets).
 #
 # Everything here runs fully offline — the workspace has zero external
 # dependencies (see crates/testkit). Usage: scripts/verify.sh
@@ -41,12 +42,14 @@ cargo test -q --workspace --exclude mbr
 echo "==> repro: fig3 weight table"
 cargo run --release -q -p mbr-bench --bin repro -- fig3
 
-echo "==> repro: EXPERIMENTS.md Table 1 rows match a fresh run"
-cargo run --release -q -p mbr-bench --bin repro -- table1 > target/table1.txt
-table1_rows() { sed -n '/<!-- table1:begin -->/,/<!-- table1:end -->/p' "$1"; }
-table1_rows target/table1.txt > target/table1.md
-test -s target/table1.md
-table1_rows EXPERIMENTS.md | diff -u - target/table1.md
+echo "==> repro: EXPERIMENTS.md Table 1, Fig. 5 and Fig. 6 blocks match a fresh run"
+repro_block() { sed -n "/<!-- $1:begin -->/,/<!-- $1:end -->/p" "$2"; }
+for exp in table1 fig5 fig6; do
+    cargo run --release -q -p mbr-bench --bin repro -- "$exp" > "target/$exp.txt"
+    repro_block "$exp" "target/$exp.txt" > "target/$exp.md"
+    test -s "target/$exp.md"
+    repro_block "$exp" EXPERIMENTS.md | diff -u - "target/$exp.md"
+done
 
 echo "==> bench: par suite smoke (quick samples)"
 MBR_BENCH_QUICK=1 MBR_BENCH_OUT=target cargo run --release -q -p mbr-bench --bin bench -- par

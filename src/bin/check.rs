@@ -34,7 +34,6 @@ use mbr::check::{check_mapping, check_netlist, check_scan, CheckReport, Paranoia
 use mbr::core::{apply_eco, infer_grid, Composer, ComposerOptions, CompositionSession};
 use mbr::liberty::{standard_library, Library};
 use mbr::obs::summary::Summary;
-use mbr::sta::DelayModel;
 use mbr::workloads::{all_presets, eco_script_for, paper_presets, sweep_presets, DesignSpec};
 
 /// ECOs per differential script: enough to exercise both the move and the
@@ -111,16 +110,6 @@ fn parse_args() -> Args {
     }
 }
 
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
-
 fn options_for_check() -> ComposerOptions {
     ComposerOptions {
         paranoia: Paranoia::Full,
@@ -137,7 +126,7 @@ fn run_spec(spec: &DesignSpec, lib: &Library) -> (String, String, bool) {
     let mut failed = false;
 
     let mut design = spec.generate(lib);
-    let composer = Composer::new(options_for_check(), model_for(spec));
+    let composer = Composer::new(options_for_check(), spec.delay_model());
     let outcome = match composer.compose(&mut design, lib) {
         Ok(o) => o,
         Err(e) => {
@@ -208,7 +197,7 @@ fn run_eco_spec(
 ) -> (String, String, bool) {
     let mut out = String::new();
     let design = spec.generate(lib);
-    let model = model_for(spec);
+    let model = spec.delay_model();
     let options = options_for_check();
 
     let mut salted = spec.clone();

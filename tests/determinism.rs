@@ -16,18 +16,7 @@ use mbr::obs::{
     validate_trace, with_clock, with_sink, CounterTotals, Histogram, MockClock, ObsSink, Recorder,
     Tee, TraceEvent,
 };
-use mbr::sta::DelayModel;
 use mbr::workloads::{all_presets, DesignSpec};
-
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
 
 fn options_for(name: &str, threads: usize) -> ComposerOptions {
     // Tight enumeration/solver budgets and checks on one preset only keep
@@ -96,7 +85,7 @@ fn tee_sinks() -> (Arc<CounterTotals>, Arc<Recorder>, Arc<Tee>) {
 fn run_flow(spec: &DesignSpec, threads: usize) -> (String, String, String) {
     let lib = standard_library();
     let mut design = spec.generate(&lib);
-    let composer = Composer::new(options_for(&spec.name, threads), model_for(spec));
+    let composer = Composer::new(options_for(&spec.name, threads), spec.delay_model());
     let (totals, rec, tee) = tee_sinks();
     let outcome = with_sink(tee, || composer.compose(&mut design, &lib)).expect("flow succeeds");
     let (outcome, counters) = snapshot(outcome, &totals);
@@ -149,7 +138,7 @@ fn session_recompose_is_identical_at_every_thread_count() {
                     design,
                     &lib,
                     options_for(&spec.name, threads),
-                    model_for(&spec),
+                    spec.delay_model(),
                 )
                 .expect("session opens");
                 session.apply_script(&script).expect("ecos apply");
@@ -197,7 +186,7 @@ fn decomposition_flow_is_identical_at_every_thread_count() {
     let run = |threads: usize| {
         let lib = standard_library();
         let mut design = spec.generate(&lib);
-        let composer = Composer::new(options_for(&spec.name, threads), model_for(&spec));
+        let composer = Composer::new(options_for(&spec.name, threads), spec.delay_model());
         let (totals, rec, tee) = tee_sinks();
         let outcome = with_sink(tee, || {
             composer.compose_with_decomposition(&mut design, &lib)
@@ -222,7 +211,7 @@ fn parallel_trace_has_the_serial_event_sequence() {
     let events_at = |threads: usize| {
         let lib = standard_library();
         let mut design = spec.generate(&lib);
-        let composer = Composer::new(options_for(&spec.name, threads), model_for(&spec));
+        let composer = Composer::new(options_for(&spec.name, threads), spec.delay_model());
         let rec = Arc::new(Recorder::default());
         with_clock(Arc::new(MockClock::new(1)), || {
             with_sink(rec.clone(), || {

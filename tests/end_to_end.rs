@@ -28,22 +28,12 @@ fn small_spec() -> DesignSpec {
     }
 }
 
-fn model(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
-
 #[test]
 fn composition_reduces_registers_and_preserves_invariants() {
     let lib = standard_library();
     let spec = small_spec();
     let mut design = spec.generate(&lib);
-    let m = model(&spec);
+    let m = spec.delay_model();
 
     let bits_before = design.total_register_bits();
     let regs_before = design.live_register_count();
@@ -98,7 +88,7 @@ fn composition_reduces_registers_and_preserves_invariants() {
 fn composition_is_deterministic() {
     let lib = standard_library();
     let spec = small_spec();
-    let composer = Composer::new(ComposerOptions::default(), model(&spec));
+    let composer = Composer::new(ComposerOptions::default(), spec.delay_model());
 
     let mut a = spec.generate(&lib);
     let out_a = composer.compose(&mut a, &lib).expect("flow");
@@ -134,7 +124,7 @@ fn fixed_registers_survive_untouched() {
         .collect();
     assert!(!fixed_before.is_empty(), "fixture needs fixed registers");
 
-    let composer = Composer::new(ComposerOptions::default(), model(&spec));
+    let composer = Composer::new(ComposerOptions::default(), spec.delay_model());
     composer.compose(&mut design, &lib).expect("flow");
 
     for (name, loc) in fixed_before {
@@ -152,7 +142,7 @@ fn fixed_registers_survive_untouched() {
 fn heuristic_and_decomposition_paths_run_clean() {
     let lib = standard_library();
     let spec = small_spec();
-    let m = model(&spec);
+    let m = spec.delay_model();
     let composer = Composer::new(ComposerOptions::default(), m);
 
     let mut h = spec.generate(&lib);
@@ -182,7 +172,7 @@ fn metrics_pipeline_reports_consistent_numbers() {
     let lib = standard_library();
     let spec = small_spec();
     let mut design = spec.generate(&lib);
-    let m = model(&spec);
+    let m = spec.delay_model();
     let cts = CtsConfig::default();
     let cong = CongestionConfig::default();
 
@@ -226,7 +216,7 @@ fn composition_never_crosses_clock_domains() {
         "three clock domains exist"
     );
 
-    let composer = Composer::new(ComposerOptions::default(), model(&spec));
+    let composer = Composer::new(ComposerOptions::default(), spec.delay_model());
     let outcome = composer.compose(&mut design, &lib).expect("flow");
     assert!(outcome.merges > 0);
 
@@ -269,7 +259,7 @@ fn composition_is_incremental_and_converges() {
     let lib = standard_library();
     let spec = small_spec();
     let mut design = spec.generate(&lib);
-    let m = model(&spec);
+    let m = spec.delay_model();
     let bits = design.total_register_bits();
     let composer = Composer::new(ComposerOptions::default(), m);
 
@@ -317,7 +307,7 @@ fn incomplete_mbrs_do_not_blow_area_or_leakage() {
     let lib = standard_library();
     let spec = small_spec();
     let mut design = spec.generate(&lib);
-    let m = model(&spec);
+    let m = spec.delay_model();
     let base = DesignMetrics::measure(
         &design,
         &lib,

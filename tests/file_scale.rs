@@ -8,7 +8,6 @@ use mbr::check::{check_mapping, check_netlist, check_scan, CheckReport, Paranoia
 use mbr::core::{infer_grid, Composer, ComposerOptions};
 use mbr::liberty::{standard_library, Library};
 use mbr::netlist::Design;
-use mbr::sta::DelayModel;
 use mbr::workloads::{d1, d6};
 
 #[test]
@@ -85,13 +84,7 @@ fn d6_composes_bounded_with_zero_check_errors() {
         ..ComposerOptions::default()
     };
     let node_budget = options.node_budget;
-    let base = DelayModel::default();
-    let model = DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    };
+    let model = spec.delay_model();
     let outcome = Composer::new(options, model)
         .compose(&mut design, &lib)
         .expect("bounded compose completes at paper scale");

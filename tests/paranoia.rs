@@ -5,7 +5,6 @@
 
 use mbr::core::{Composer, ComposerOptions, Paranoia};
 use mbr::liberty::standard_library;
-use mbr::sta::DelayModel;
 use mbr::workloads::all_presets;
 
 #[test]
@@ -16,13 +15,7 @@ fn d1_runs_clean_under_maximum_paranoia() {
         .find(|s| s.name == "d1")
         .expect("d1 preset");
     let mut design = spec.generate(&lib);
-    let base = DelayModel::default();
-    let model = DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    };
+    let model = spec.delay_model();
     let options = ComposerOptions {
         paranoia: Paranoia::Full,
         stitch_scan_chains: true,

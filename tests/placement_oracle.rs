@@ -20,18 +20,8 @@ use mbr::geom::Rect;
 use mbr::liberty::standard_library;
 use mbr::lp::SetPartition;
 use mbr::netlist::InstId;
-use mbr::sta::{DelayModel, Sta};
-use mbr::workloads::{all_presets, DesignSpec};
-
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
+use mbr::sta::Sta;
+use mbr::workloads::all_presets;
 
 #[test]
 fn every_flow_placement_costs_what_the_simplex_costs() {
@@ -44,7 +34,7 @@ fn every_flow_placement_costs_what_the_simplex_costs() {
     let lib = standard_library();
     for spec in all_presets() {
         let mut design = spec.generate(&lib);
-        let sta = Sta::new(&design, &lib, model_for(&spec)).expect("timing analyzes");
+        let sta = Sta::new(&design, &lib, spec.delay_model()).expect("timing analyzes");
         let compat = CompatGraph::build(&design, &lib, &sta, &options);
         let regions: BTreeMap<InstId, Rect> =
             compat.regs.iter().map(|r| (r.inst, r.region)).collect();

@@ -15,18 +15,7 @@ use mbr::obs::summary::Summary;
 use mbr::obs::{
     parse_trace, validate_trace_truncated, with_clock, with_sink, MockClock, Recorder, TraceEvent,
 };
-use mbr::sta::DelayModel;
 use mbr::workloads::{all_presets, DesignSpec};
-
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
 
 /// d1 with the same debug-mode budget trims as tests/determinism.rs.
 fn options_for(threads: usize) -> ComposerOptions {
@@ -49,7 +38,7 @@ fn traced_run(threads: usize) -> Vec<TraceEvent> {
     let spec = d1();
     let lib = standard_library();
     let mut design = spec.generate(&lib);
-    let composer = Composer::new(options_for(threads), model_for(&spec));
+    let composer = Composer::new(options_for(threads), spec.delay_model());
     let rec = Arc::new(Recorder::default());
     with_clock(Arc::new(MockClock::new(7)), || {
         with_sink(rec.clone(), || {

@@ -3,7 +3,7 @@
 
 use mbr::core::{Composer, ComposerOptions};
 use mbr::liberty::standard_library;
-use mbr::sta::{DelayModel, Sta};
+use mbr::sta::Sta;
 use mbr::workloads::DesignSpec;
 use mbr_test::check::{any_u64, Gen};
 use mbr_test::{prop_assert, prop_assert_eq, props};
@@ -43,13 +43,7 @@ props! {
         let mut design = spec.generate(&lib);
         prop_assert!(design.validate().is_empty());
 
-        let base = DelayModel::default();
-        let model = DelayModel {
-            clock_period: spec.clock_period,
-            wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-            wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-            ..base
-        };
+        let model = spec.delay_model();
         let bits = design.total_register_bits();
         let regs_before = design.live_register_count();
         let sta = Sta::new(&design, &lib, model).expect("generated designs are acyclic");

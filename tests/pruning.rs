@@ -21,18 +21,7 @@ use std::sync::Arc;
 use mbr::core::{ComposeOutcome, Composer, ComposerOptions};
 use mbr::liberty::standard_library;
 use mbr::obs::{with_sink, CounterTotals};
-use mbr::sta::DelayModel;
 use mbr::workloads::{all_presets, DesignSpec};
-
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
 
 /// Default options with all pruning rules set together and every budget
 /// lifted out of the way (see the module docs).
@@ -70,7 +59,7 @@ struct Run {
 fn run_with(spec: &DesignSpec, opts: ComposerOptions) -> Run {
     let lib = standard_library();
     let mut design = spec.generate(&lib);
-    let composer = Composer::new(opts, model_for(spec));
+    let composer = Composer::new(opts, spec.delay_model());
     let totals = Arc::new(CounterTotals::default());
     let outcome = with_sink(totals.clone(), || composer.compose(&mut design, &lib))
         .expect("flow succeeds with pruning toggled");

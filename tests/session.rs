@@ -4,30 +4,20 @@
 //! wall-clock — to a fresh batch `compose` of the same mutated design.
 //! Plus the session lifecycle invariants: a clean `recompose` is a no-op,
 //! a second `recompose` changes nothing, a rejected ECO leaves the session
-//! untouched, and a long chain of single-ECO passes matches batch after
-//! every pass.
+//! untouched, a long chain of single-ECO passes matches batch after every
+//! pass, and the partition memo holds the last pass only.
 
 use std::sync::Arc;
 
 use mbr::check::Paranoia;
 use mbr::core::{
-    apply_eco, ComposeOutcome, Composer, ComposerOptions, CompositionSession, Eco, EcoError,
-    EcoScript,
+    apply_eco, CompatGraph, ComposeOutcome, Composer, ComposerOptions, CompositionSession, Eco,
+    EcoError, EcoScript,
 };
 use mbr::liberty::standard_library;
 use mbr::obs::{with_sink, CounterTotals, ObsSink};
-use mbr::sta::DelayModel;
+use mbr::sta::Sta;
 use mbr::workloads::{all_presets, d1, d3, eco_script_for, DesignSpec};
-
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
 
 fn options_for(name: &str) -> ComposerOptions {
     // Tight budgets keep the debug-mode matrix affordable; equivalence is a
@@ -62,7 +52,7 @@ fn assert_differential(spec: &DesignSpec, script: &EcoScript) {
     let lib = standard_library();
     let design = spec.generate(&lib);
     let options = options_for(&spec.name);
-    let model = model_for(spec);
+    let model = spec.delay_model();
 
     let mut session = CompositionSession::open(design.clone(), &lib, options.clone(), model)
         .expect("session opens");
@@ -142,14 +132,14 @@ fn structural_ecos_match_batch_too() {
 /// incremental recompose must do exactly batch's compatibility,
 /// legalization and useful-skew work (those stages run the batch code every
 /// pass), strictly less timing seeding and candidate enumeration, and it
-/// must reuse partitions and placement corners, which batch never does.
+/// must reuse partitions, which batch never does.
 #[test]
 fn recompose_reuses_only_the_stages_that_pay() {
     for spec in all_presets() {
         let lib = standard_library();
         let design = spec.generate(&lib);
         let options = options_for(&spec.name);
-        let model = model_for(&spec);
+        let model = spec.delay_model();
         let script = eco_script_for(&spec, &design, &lib, 12);
 
         let mut session = CompositionSession::open(design.clone(), &lib, options.clone(), model)
@@ -226,7 +216,7 @@ fn chains_of_single_eco_passes_match_batch_after_every_pass() {
         let lib = standard_library();
         let design = spec.generate(&lib);
         let options = options_for(&spec.name);
-        let model = model_for(&spec);
+        let model = spec.delay_model();
         let script = eco_script_for(&spec, &design, &lib, 12);
         let mut session = CompositionSession::open(design.clone(), &lib, options.clone(), model)
             .expect("session opens");
@@ -258,6 +248,77 @@ fn chains_of_single_eco_passes_match_batch_after_every_pass() {
     }
 }
 
+/// The partition memo holds the last pass only. Pass 1 moves a composable
+/// register, which changes the keys of the partitions it reaches; pass 2
+/// moves it back, onto pass 0's design, and must recompute those partitions
+/// rather than find pass 0's entries. Both passes match batch byte for
+/// byte.
+#[test]
+fn a_move_and_its_undo_recompute_what_the_memo_dropped() {
+    let spec = d1();
+    let lib = standard_library();
+    let design = spec.generate(&lib);
+    let options = options_for(&spec.name);
+    let model = spec.delay_model();
+    let sta = Sta::new(&design, &lib, model).expect("timing analyzes");
+    let compat = CompatGraph::build(&design, &lib, &sta, &options);
+    let reg = design.inst(compat.regs[0].inst);
+    let (name, home) = (reg.name.clone(), reg.loc);
+    let dx = if home.x + reg.width + 1_000 <= design.die().hi().x {
+        1_000
+    } else {
+        -1_000
+    };
+    let ecos = [
+        Eco::Move {
+            name: name.clone(),
+            x: home.x + dx,
+            y: home.y,
+        },
+        Eco::Move {
+            name,
+            x: home.x,
+            y: home.y,
+        },
+    ];
+
+    let mut session = CompositionSession::open(design.clone(), &lib, options.clone(), model)
+        .expect("session opens");
+    let mut batch_design = design;
+    let mut batch_model = model;
+    let mut recomputed = Vec::new();
+    for (i, eco) in ecos.iter().enumerate() {
+        let at = format!("pass {} ({eco})", i + 1);
+        session.apply(eco).expect("eco applies");
+        let totals = Arc::new(CounterTotals::default());
+        with_sink(totals.clone() as Arc<dyn ObsSink>, || session.recompose())
+            .expect("recompose succeeds");
+        let key = "core.session.partitions_recomputed";
+        recomputed.push(totals.totals().get(key).copied().unwrap_or(0));
+
+        apply_eco(&mut batch_design, &mut batch_model, &lib, eco).expect("eco applies");
+        let mut composed = batch_design.clone();
+        let batch_outcome = Composer::new(options.clone(), batch_model)
+            .compose(&mut composed, &lib)
+            .expect("batch flow succeeds");
+        assert_eq!(
+            session.composed().to_design_text(&lib),
+            composed.to_design_text(&lib),
+            "{at}: composed design diverged from batch"
+        );
+        assert_eq!(
+            scrubbed(session.outcome()),
+            scrubbed(&batch_outcome),
+            "{at}: outcome diverged from batch"
+        );
+    }
+    assert!(recomputed[0] > 0, "the move must change some partition key");
+    assert!(
+        recomputed[1] > 0,
+        "the undo must recompute the partitions pass 1 displaced"
+    );
+}
+
 #[test]
 fn clean_recompose_is_a_noop_and_recompose_is_idempotent() {
     let spec = d1();
@@ -265,7 +326,7 @@ fn clean_recompose_is_a_noop_and_recompose_is_idempotent() {
     let design = spec.generate(&lib);
     let script = eco_script_for(&spec, &design, &lib, 6);
     let mut session =
-        CompositionSession::open(design, &lib, options_for(&spec.name), model_for(&spec))
+        CompositionSession::open(design, &lib, options_for(&spec.name), spec.delay_model())
             .expect("session opens");
 
     // No pending ECO: recompose runs nothing at all.
@@ -295,7 +356,7 @@ fn rejected_ecos_leave_the_session_clean() {
     let lib = standard_library();
     let design = spec.generate(&lib);
     let mut session =
-        CompositionSession::open(design, &lib, options_for(&spec.name), model_for(&spec))
+        CompositionSession::open(design, &lib, options_for(&spec.name), spec.delay_model())
             .expect("session opens");
     let err = session
         .apply(&Eco::Move {

@@ -45,8 +45,7 @@ use mbr::liberty::standard_library;
 use mbr::obs::{
     with_clock, with_sink, CounterTotals, MockClock, ObsSink, Recorder, Tee, TraceEvent,
 };
-use mbr::sta::DelayModel;
-use mbr::workloads::{all_presets, DesignSpec};
+use mbr::workloads::all_presets;
 
 /// Counter names that existed before the SoA refactor. The golden hashes
 /// cover exactly these; anything else the flow emits is ignored here (the
@@ -177,16 +176,6 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-fn model_for(spec: &DesignSpec) -> DelayModel {
-    let base = DelayModel::default();
-    DelayModel {
-        clock_period: spec.clock_period,
-        wire_res_per_dbu: base.wire_res_per_dbu * spec.wire_scale,
-        wire_cap_per_dbu: base.wire_cap_per_dbu * spec.wire_scale,
-        ..base
-    }
-}
-
 fn options_for(name: &str) -> ComposerOptions {
     // Mirrors tests/determinism.rs: paranoia pinned (so debug and release
     // builds hash identically) and trimmed budgets keep the matrix cheap.
@@ -244,7 +233,7 @@ fn batch_flow_matches_the_pre_refactor_snapshot() {
         assert_eq!(spec.name, golden.name, "preset order changed");
         let lib = standard_library();
         let mut design = spec.generate(&lib);
-        let composer = Composer::new(options_for(&spec.name), model_for(spec));
+        let composer = Composer::new(options_for(&spec.name), spec.delay_model());
         let totals = Arc::new(CounterTotals::default());
         let rec = Arc::new(Recorder::default());
         let tee = Arc::new(Tee::new(vec![
